@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ __all__ = [
     "run_ttsa_batch",
     "run_timescale_sweep",
     "run_verify",
+    "worker_count",
 ]
 
 _EXPERIMENTS = ("flow", "ttsa", "sweep", "verify")
@@ -275,38 +277,84 @@ def _flow_worker(task: dict) -> dict:
     return out
 
 
-def _ttsa_worker(task: dict) -> dict:
-    idx = task["run_index"]
-    out = {"run_index": idx, "ok": False, "error": None, "summary": None,
-           "csv": None, "steps": None, "tracking": None, "incentive": None}
+def _ttsa_worker(task: dict) -> list:
+    """Step one contiguous chunk of runs as one batch; one result per run."""
+    runs = task["run_indices"]
+    schedules = [StepSchedule(**s) for s in task["schedules"]]
     try:
         game, objective, geom = _build_worker_geometry(task)
         tcfg = TtsaConfig(
-            schedule=StepSchedule(**task["schedule"]),
+            schedule=schedules[0],
             rule=LearningRule(**task["rule"]),
             max_iter=task["max_iter"],
             record_every=task["record_every"],
             seed=task["seed"],
         )
-        record, summary = run_ttsa(np.asarray(task["x0"], dtype=float),
-                                   np.asarray(task["p0"], dtype=float),
-                                   tcfg, geom)
-        stem = Path(task["out_dir"]) / f"ttsa_run_{idx:03d}"
-        record.write_csv(stem.with_suffix(".csv"))
-        record.write_json(stem.with_suffix(".json"), config=tcfg.to_dict())
-        out.update(ok=True, summary=summary, csv=str(stem.with_suffix(".csv")),
-                   steps=list(record.steps), tracking=list(record.tracking_errors),
-                   incentive=list(record.incentive_errors))
+        outcomes = run_ttsa(np.asarray(task["x0"], dtype=float),
+                            np.asarray(task["p0"], dtype=float),
+                            tcfg, geom, schedules=schedules)
     except Exception as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    return out
+        outcomes = [exc] * len(runs)
+    results = []
+    for idx, schedule, outcome in zip(runs, schedules, outcomes):
+        out = {"run_index": idx, "ok": False, "error": None, "summary": None,
+               "csv": None, "steps": None, "tracking": None, "incentive": None}
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            record, summary = outcome
+            stem = Path(task["out_dir"]) / f"ttsa_run_{idx:03d}"
+            record.write_csv(stem.with_suffix(".csv"))
+            record.write_json(stem.with_suffix(".json"),
+                              config=dataclasses.replace(tcfg, schedule=schedule).to_dict())
+            out.update(ok=True, summary=summary, csv=str(stem.with_suffix(".csv")),
+                       steps=list(record.steps), tracking=list(record.tracking_errors),
+                       incentive=list(record.incentive_errors))
+        except Exception as exc:
+            out["error"] = f"{type(exc).__name__}: {exc}"
+        results.append(out)
+    return results
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: at most one per
+    task and per CPU, and never more than ``jobs``."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _run_ttsa_runs(cfg: ExperimentConfig, spec, objective, geom, rule,
+                   schedules, ics, run_indices, out_dir: Path):
+    """Run the TTSA runs given by per-run schedules, starts and indices.
+
+    The runs are split into contiguous chunks, one per worker process, and
+    each chunk is stepped as one batch. Every run's output is independent
+    of the chunking, so ``jobs`` changes the wall time only.
+    """
+    if not ics:
+        return []
+    base = {
+        "spec": spec, "x_dagger": objective.x_dagger.tolist(),
+        "solver": cfg.solver, "c": geom.c, "c_star": geom.c_star,
+        "rule": dataclasses.asdict(rule),
+        "max_iter": cfg.max_iter, "record_every": cfg.record_every,
+        "seed": cfg.seed, "out_dir": str(out_dir),
+    }
+    chunks = np.array_split(np.arange(len(ics)), worker_count(cfg.jobs, len(ics)))
+    tasks = [dict(base,
+                  run_indices=[run_indices[i] for i in chunk],
+                  schedules=[dataclasses.asdict(schedules[i]) for i in chunk],
+                  x0=[np.asarray(ics[i][0], dtype=float).tolist() for i in chunk],
+                  p0=[np.asarray(ics[i][1], dtype=float).tolist() for i in chunk])
+             for chunk in chunks]
+    return [r for chunk in _run_tasks(_ttsa_worker, tasks, cfg.jobs) for r in chunk]
 
 
 def _prepare_batch(cfg: ExperimentConfig):
@@ -408,20 +456,8 @@ def run_ttsa_batch(cfg: ExperimentConfig):
     rule = _rule(cfg, game)   # validates kind/eta against this game
     schedule = _schedule(cfg)
     ics = _initial_conditions(cfg, game, objective, geom)
-    base = {
-        "spec": spec, "x_dagger": objective.x_dagger.tolist(),
-        "solver": cfg.solver, "c": geom.c, "c_star": geom.c_star,
-        "schedule": {"a0": schedule.a0, "a_exp": schedule.a_exp,
-                     "b0": schedule.b0, "b_exp": schedule.b_exp,
-                     "offset": schedule.offset},
-        "rule": {"kind": rule.kind, "eta": rule.eta,
-                 "certificate": rule.certificate},
-        "max_iter": cfg.max_iter, "record_every": cfg.record_every,
-        "seed": cfg.seed, "out_dir": str(out_dir),
-    }
-    tasks = [dict(base, run_index=i, x0=x0.tolist(), p0=p0.tolist())
-             for i, (x0, p0) in enumerate(ics)]
-    results = _run_tasks(_ttsa_worker, tasks, cfg.jobs)
+    results = _run_ttsa_runs(cfg, spec, objective, geom, rule, [schedule] * len(ics),
+                             ics, list(range(len(ics))), out_dir)
 
     ok = [r for r in results if r["ok"]]
     failures = [{"run_index": r["run_index"], "error": r["error"]}
@@ -470,33 +506,22 @@ def run_timescale_sweep(cfg: ExperimentConfig):
     spec, game, objective, geom, out_dir = _prepare_batch(cfg)
     rule = _rule(cfg, game)
     ics = _initial_conditions(cfg, game, objective, geom)
-    x0, p0 = ics[0]
-
-    rows = []
+    kept = []
     skipped = []
-    results = []
     for i, gamma in enumerate(cfg.gammas):
         b_exp = cfg.a_exp_base + gamma
         if not 0.5 < b_exp <= 1.0:
             warnings.warn(f"gamma={gamma} gives b_exp={b_exp:.3g} outside (1/2, 1]; skipped")
             skipped.append(gamma)
             continue
-        schedule = _schedule(cfg, a_exp=cfg.a_exp_base, b_exp=b_exp)
-        task = {
-            "spec": spec, "x_dagger": objective.x_dagger.tolist(),
-            "solver": cfg.solver, "c": geom.c, "c_star": geom.c_star,
-            "schedule": {"a0": schedule.a0, "a_exp": schedule.a_exp,
-                         "b0": schedule.b0, "b_exp": schedule.b_exp,
-                         "offset": schedule.offset},
-            "rule": {"kind": rule.kind, "eta": rule.eta,
-                     "certificate": rule.certificate},
-            "max_iter": cfg.max_iter, "record_every": cfg.record_every,
-            "seed": cfg.seed, "out_dir": str(out_dir), "run_index": i,
-            "x0": np.asarray(x0, dtype=float).tolist(),
-            "p0": np.asarray(p0, dtype=float).tolist(),
-        }
-        res = _ttsa_worker(task)
-        results.append(res)
+        kept.append((i, gamma, b_exp))
+    results = _run_ttsa_runs(
+        cfg, spec, objective, geom, rule,
+        [_schedule(cfg, a_exp=cfg.a_exp_base, b_exp=b_exp) for _, _, b_exp in kept],
+        [ics[0]] * len(kept), [i for i, _, _ in kept], out_dir)
+
+    rows = []
+    for (_, gamma, b_exp), res in zip(kept, results):
         if not res["ok"]:
             rows.append({"gamma": gamma, "b_exp": b_exp, "error": res["error"]})
             continue

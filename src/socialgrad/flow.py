@@ -256,9 +256,15 @@ class _FlowField:
     def __init__(self, geom: SublevelGeometry):
         self.geom = geom
         self.oracle = ResponseOracle(geom.game, geom.solver_cfg)
+        self.warm = None   # last response: the next solve's warm start
+
+    def response(self, p):
+        x, interior = self.oracle.response(p, self.warm)
+        self.warm = x
+        return x, interior
 
     def __call__(self, p, t_at, p_valid):
-        x, interior = self.oracle.response(p)
+        x, interior = self.response(p)
         if not interior:
             raise FlowDomainError(
                 "integration step produced a boundary response",
@@ -290,7 +296,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         record.append(t, p_now, x_star, geom.objective.gap(x_star),
                       np.linalg.norm(g), np.linalg.norm(p_now - geom.p_dagger))
 
-    x_star, _ = field.oracle.response(p)
+    x_star, _ = field.response(p)
     sample(0.0, p, x_star)
     stopped_early = False
     t = 0.0
@@ -304,7 +310,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         else:
             p = p + dt * field(p, t, p)
         t = k * dt
-        x_star, interior = field.oracle.response(p)
+        x_star, interior = field.response(p)
         if not interior:
             raise FlowDomainError(
                 f"flow left the admissible set at t={t:.6g}",

@@ -21,6 +21,7 @@ __all__ = [
     "CertificateReport",
     "as_vector",
     "project_box",
+    "rowwise_matvec",
     "boundary_distance",
     "incentivized_pseudo_gradient",
     "certify_strong_monotonicity",
@@ -87,6 +88,17 @@ def project_box(x, space: BoxSpace) -> np.ndarray:
     """Componentwise clamp of ``x`` into the box. Idempotent and 1-Lipschitz."""
     x = as_vector(x, dim=space.dim, name="x")
     return np.clip(x, space.lower, space.upper)
+
+
+def rowwise_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x for every row x of the (R, n) stack X, as an (R, m) stack.
+
+    Each row's result does not depend on R: a run's arithmetic is the same
+    alone and inside any batch. ``X @ A.T`` does not have that property,
+    because the BLAS kernel it dispatches to changes between one row and
+    several.
+    """
+    return np.einsum("ij,rj->ri", A, X)
 
 
 def boundary_distance(x, space: BoxSpace) -> float:

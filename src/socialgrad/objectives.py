@@ -20,7 +20,9 @@ class SocialObjective:
     Lipschitz constant. ``x_dagger`` must be the unique minimizer and is
     expected to lie strictly inside the strategy box (validated where the
     geometry is assembled). ``form`` tags structure some consumers exploit:
-    "quadratic" means Phi(x) = 0.5 ||x - x_dagger||^2 exactly.
+    "quadratic" means Phi(x) = 0.5 ||x - x_dagger||^2 exactly. ``phi`` and
+    ``grad_phi`` act on the last axis, so an (R, n) stack of profiles gives
+    one value, or one gradient, per row.
     """
 
     phi: Callable[[np.ndarray], float]
@@ -39,10 +41,16 @@ class SocialObjective:
         g = np.asarray(self.grad_phi(xd), dtype=float)
         if np.linalg.norm(g) > 1e-12:
             raise ValueError("grad_phi(x_dagger) must vanish")
+        # Phi(x_dagger), cached: gap() runs on every gate test
+        object.__setattr__(self, "_phi_dagger", self.phi(xd))
 
-    def gap(self, x) -> float:
-        """Phi(x) - Phi(x_dagger), the planner's suboptimality at x."""
-        return float(self.phi(x) - self.phi(self.x_dagger))
+    def gap(self, x):
+        """Phi(x) - Phi(x_dagger), the planner's suboptimality at x.
+
+        A float for one profile, an array of R gaps for an (R, n) stack.
+        """
+        value = self.phi(x) - self._phi_dagger
+        return float(value) if np.ndim(value) == 0 else value
 
 
 def quadratic_objective(x_dagger) -> SocialObjective:
@@ -50,7 +58,7 @@ def quadratic_objective(x_dagger) -> SocialObjective:
     xd = as_vector(x_dagger, name="x_dagger").copy()
 
     def phi(x):
-        return 0.5 * float(np.sum((np.asarray(x, dtype=float) - xd) ** 2))
+        return 0.5 * ((np.asarray(x, dtype=float) - xd) ** 2).sum(axis=-1)
 
     def grad_phi(x):
         return np.asarray(x, dtype=float) - xd

@@ -316,12 +316,49 @@ def build_game_from_spec(spec) -> GameModel:
     raise TypeError(f"unknown game spec type {type(spec).__name__}")
 
 
+# Keys an inline game spec may carry, by kind. An explicit aggregative
+# instance gives all of q, W and a; otherwise n and seed generate one.
+_SPEC_KEYS = {
+    "aggregative": {"kind", "box", "q", "W", "a", "n", "seed"},
+    "oscillator": {"kind", "box", "theta", "m_override"},
+}
+_EXPLICIT_AGGREGATIVE = ("q", "W", "a")
+
+
 def game_spec_from_dict(d: dict):
-    """Parse an inline game description from a configuration mapping."""
-    d = dict(d)
-    kind = d.pop("kind", None)
-    box = d.pop("box", None)
+    """Parse an inline game description from a configuration mapping.
+
+    Anything malformed raises ValueError: an unknown kind or key, an
+    explicit aggregative instance missing some of q, W and a (or mixed
+    with n or seed, which generate one), or a value of the wrong type.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("inline game spec must be a mapping")
+    kind = d.get("kind")
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown game kind {kind!r}; use 'aggregative' or 'oscillator'")
+    unknown = set(d) - _SPEC_KEYS[kind]
+    if unknown:
+        raise ValueError(f"unknown keys in the {kind} game spec: {sorted(unknown)}")
+    given = [k for k in _EXPLICIT_AGGREGATIVE if k in d]
+    if given and len(given) < len(_EXPLICIT_AGGREGATIVE):
+        missing = [k for k in _EXPLICIT_AGGREGATIVE if k not in d]
+        raise ValueError(f"aggregative game spec gives {', '.join(given)} but not "
+                         f"{', '.join(missing)}; an explicit instance needs q, W and a")
+    if given and {"n", "seed"} & set(d):
+        raise ValueError("n and seed generate an aggregative instance; "
+                         "they cannot accompany an explicit q, W and a")
+    try:
+        return _spec_from_checked_dict(kind, d)
+    except TypeError as exc:
+        raise ValueError(f"invalid {kind} game spec: {exc}") from None
+
+
+def _spec_from_checked_dict(kind: str, d: dict):
+    box = d.get("box")
     if box is not None:
+        if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
+            raise ValueError("box must be a mapping with exactly 'lower' and 'upper'")
         box = BoxSpace(np.asarray(box["lower"], dtype=float),
                        np.asarray(box["upper"], dtype=float))
     if kind == "aggregative":
@@ -337,14 +374,12 @@ def game_spec_from_dict(d: dict):
         if box is not None:
             spec = AggregativeGameSpec(q=spec.q, W=spec.W, a=spec.a, box=box)
         return spec
-    if kind == "oscillator":
-        theta = tuple(d.get("theta", (4.2, 5.0)))
-        m_override = d.get("m_override")
-        return OscillatorGameSpec(
-            theta=theta, box=box,
-            m_override=None if m_override is None else float(m_override),
-        )
-    raise ValueError(f"unknown game kind {kind!r}; use 'aggregative' or 'oscillator'")
+    theta = tuple(d.get("theta", (4.2, 5.0)))
+    m_override = d.get("m_override")
+    return OscillatorGameSpec(
+        theta=theta, box=box,
+        m_override=None if m_override is None else float(m_override),
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import BoxSpace, GameModel, as_vector, project_box
+from .games import BoxSpace, GameModel, as_vector, project_box, rowwise_matvec
 
 __all__ = [
     "ResponseSolverConfig",
@@ -265,19 +265,23 @@ class ResponseOracle:
     tens of thousands of times at slowly moving incentives. This wrapper
     caches the inverse system matrix for linear games (the interior
     response is then a single matvec, and an out-of-box root certifies a
-    boundary equilibrium without solving for it) and carries a warm start
-    across calls otherwise.
+    boundary equilibrium without solving for it) and solves from a warm
+    start otherwise.
 
-    ``response(p)`` returns (x, interior); x equals x*(p) whenever interior
-    is true. On the linear fast path a non-interior x is the unconstrained
-    root, not the boundary equilibrium; callers that need boundary
-    solutions should use solve_response directly.
+    ``response(p, warm)`` takes one incentive of shape (n,) or a stack of
+    shape (R, n), one row per run, and returns (x, interior) of the same
+    leading shape; x equals x*(p) wherever interior is true. ``warm`` holds
+    the matching start (or stack of starts) for iterative solvers, usually
+    the previous response; None starts from the box center. On the linear
+    fast path a non-interior x is the unconstrained root, not the boundary
+    equilibrium; callers that need boundary solutions should use
+    solve_response directly. A solve that does not converge raises
+    SolverError.
     """
 
     def __init__(self, game: GameModel, cfg: Optional[ResponseSolverConfig] = None):
         self.game = game
         self.cfg = cfg if cfg is not None else ResponseSolverConfig()
-        self.warm: Optional[np.ndarray] = None
         margin = interior_margin(game.space)
         # Precomputed shrunken bounds: the per-call margin arithmetic would
         # dominate the fast path in long iterations.
@@ -291,17 +295,26 @@ class ResponseOracle:
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"linear response system is singular: {exc}") from exc
 
-    def response(self, p):
+    def response(self, p, warm=None):
         if self._minv is not None:
-            x = -(self._minv @ p)
-            interior = bool(((x >= self._lo) & (x <= self._hi)).all())
-            return x, interior
-        res = solve_response(self.game, p, self.cfg, x0=self.warm)
-        if not res.converged:
-            raise SolverError("response solve did not converge",
-                              last_iterate=res.x_star)
-        self.warm = res.x_star
-        return res.x_star, res.interior
+            # One incentive takes the cheaper matvec; a stack takes the
+            # product whose rows do not depend on the stack height.
+            x = -(self._minv @ p) if p.ndim == 1 else -rowwise_matvec(self._minv, p)
+            return x, ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
+        ps = np.atleast_2d(p)
+        starts = [None] * len(ps) if warm is None else np.atleast_2d(warm)
+        x = np.empty_like(ps)
+        interior = np.empty(len(ps), dtype=bool)
+        for r, (p_r, start) in enumerate(zip(ps, starts)):
+            res = solve_response(self.game, p_r, self.cfg, x0=start)
+            if not res.converged:
+                raise SolverError("response solve did not converge",
+                                  last_iterate=res.x_star)
+            x[r] = res.x_star
+            interior[r] = res.interior
+        if p.ndim == 1:
+            return x[0], interior[0]
+        return x, interior
 
 
 def response_jacobian_fd(game: GameModel, p, h: float = 1e-5,

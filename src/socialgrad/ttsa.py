@@ -12,10 +12,14 @@ and the incentive moves on the slow timescale through a gated ascent step,
 so the incentive only ever occupies the forward-invariant sublevel set.
 The indicator is evaluated by an inner equilibrium solve; the simulator is
 the membership oracle.
+
+Runs are independent, so a batch of R runs is stepped as one engine over
+(R, n) arrays, and a single run is the case R = 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .flow import SublevelGeometry
-from .games import GameModel, as_vector, project_box
+from .games import GameModel, as_vector, rowwise_matvec
 from .records import TtsaRecord
-from .solvers import ResponseOracle, ResponseSolverConfig, solve_response
+from .solvers import ResponseOracle, ResponseSolverConfig, SolverError, solve_response
 
 __all__ = [
     "StepSchedule",
@@ -199,24 +203,44 @@ def learning_rule_br(x, p, game: GameModel) -> np.ndarray:
     Requires the game to expose its best-response structure (diagonal
     curvature q and coupling matrix) rather than silently approximating.
     """
-    if game.br_structure is None:
-        raise ValueError(f"game {game.name!r} does not support the BR rule")
-    q, coupling = game.br_structure
+    _check_rule(game, LearningRule(kind="BR"))
     x = as_vector(x, dim=game.dim, name="x")
     p = as_vector(p, dim=game.dim, name="p")
-    target = -(p + coupling @ x) / q
-    return project_box(target, game.space)
+    return _best_responses(game, x[None], p[None])[0]
 
 
 def learning_rule_pg(x, p, game: GameModel, eta: float) -> np.ndarray:
     """One projected-gradient step on the incentivized pseudo-gradient."""
-    if not 0.0 < eta < _pg_eta_bound(game):
-        raise ValueError(
-            f"eta={eta} outside the admissible range (0, {_pg_eta_bound(game):.6g})"
-        )
+    _check_rule(game, LearningRule(kind="PG", eta=eta))
     x = as_vector(x, dim=game.dim, name="x")
     p = as_vector(p, dim=game.dim, name="p")
-    return project_box(x - eta * (game.g0(x) + p), game.space)
+    return _pg_steps(game, x[None], p[None], eta)[0]
+
+
+def _best_responses(game: GameModel, X, P) -> np.ndarray:
+    """The BR rule for every row of the (R, n) stacks X and P."""
+    q, coupling = game.br_structure
+    return np.clip(-(P + rowwise_matvec(coupling, X)) / q,
+                   game.space.lower, game.space.upper)
+
+
+def _pg_steps(game: GameModel, X, P, eta: float) -> np.ndarray:
+    """The PG rule for every row of the (R, n) stacks X and P."""
+    if game.linear_matrix is not None:
+        G = rowwise_matvec(game.linear_matrix, X)
+    else:
+        G = np.array([game.g0(x) for x in X])
+    return np.clip(X - eta * (G + P), game.space.lower, game.space.upper)
+
+
+def _check_rule(game: GameModel, rule: LearningRule):
+    if rule.kind == "BR" and game.br_structure is None:
+        raise ValueError(f"game {game.name!r} does not support the BR rule")
+    if rule.kind == "PG" and not 0.0 < rule.eta < _pg_eta_bound(game):
+        raise ValueError(
+            f"eta={rule.eta} outside the admissible range "
+            f"(0, {_pg_eta_bound(game):.6g}) for this game"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,84 +261,104 @@ class TtsaConfig:
             raise ValueError("record_every must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "schedule": {
-                "a0": self.schedule.a0, "a_exp": self.schedule.a_exp,
-                "b0": self.schedule.b0, "b_exp": self.schedule.b_exp,
-                "offset": self.schedule.offset,
-            },
-            "rule": {"kind": self.rule.kind, "eta": self.rule.eta,
-                     "certificate": self.rule.certificate},
-            "c": self.c,
-            "max_iter": self.max_iter,
-            "record_every": self.record_every,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 class _Engine:
-    """Per-run iteration engine over a cached response oracle.
+    """R independent runs of the gated iteration, stepped together.
+
+    Run i is row i of the (R, n) arrays X (strategies), P (accepted
+    incentives) and Xstar (the responses at P); ``runs`` maps rows to the
+    caller's run indices and ``warm`` holds each row's last computed
+    response, the warm start of its next solve. A step applies the rule to
+    every row, asks the oracle once for the responses to every row's
+    proposed incentive, and accepts or rejects row by row. No operation
+    mixes rows, so a run's trajectory is the same alone and in any batch.
 
     The oracle makes the per-step membership solve cheap: a cached-inverse
-    matvec for linear games (an out-of-box root certifies a boundary
+    product for linear games (an out-of-box root certifies a boundary
     equilibrium, so the candidate is inadmissible without solving further)
-    and a warm-started solve otherwise.
+    and a warm-started solve per row otherwise.
     """
 
-    def __init__(self, geom: SublevelGeometry, level: float,
+    def __init__(self, geom: SublevelGeometry, level: float, rule: LearningRule,
                  solver_cfg: Optional[ResponseSolverConfig] = None):
-        self.geom = geom
         self.game = geom.game
         self.objective = geom.objective
         self.level = level
+        self.rule = rule
         cfg = solver_cfg if solver_cfg is not None else geom.solver_cfg
         self.oracle = ResponseOracle(self.game, cfg)
-        self._xstar = None   # response at the current accepted incentive
 
-    def admit(self, p):
-        """Membership of p in the working sublevel set, with its response."""
-        x, interior = self.oracle.response(p)
-        if not interior:
-            return False, x
-        return bool(self.objective.gap(x) <= self.level), x
+    def start(self, X, P, runs):
+        """Bind the runs' starts and drop those that fail.
 
-    def bind(self, p):
-        """Sync the cached response to incentive p; raises if inadmissible."""
-        ok, x = self.admit(p)
-        if not ok:
-            raise ValueError("incentive lies outside the working sublevel set")
-        self._xstar = x
-        return x
+        Returns {run: error} for the dropped runs: a start outside the
+        working sublevel set, or one whose response solve raised.
+        """
+        self.X, self.P, self.runs = X, P, np.asarray(runs)
+        self.Xstar, admitted, errors = self._admit(P, None)
+        self.warm = self.Xstar
+        for row in np.flatnonzero(~admitted):
+            errors.setdefault(row, ValueError("p0 lies outside the working sublevel set"))
+        return self._drop(errors)[1]
 
-    def rule_value(self, rule: LearningRule, x, p):
-        if rule.kind == "NE":
-            return self._xstar
-        if rule.kind == "BR":
-            q, coupling = self.game.br_structure
-            return project_box(-(p + coupling @ x) / q, self.game.space)
-        return project_box(x - rule.eta * (self.game.g0(x) + p), self.game.space)
+    def step(self, a, b):
+        """One update of every row with step sizes a and b (scalars or (R, 1)).
 
-    def step(self, x, p, k, schedule: StepSchedule, rule: LearningRule):
-        a_k = schedule.a(k)
-        b_k = schedule.b(k)
-        f_val = self.rule_value(rule, x, p)
-        x_next = x + a_k * (f_val - x)
-        p_hat = p + b_k * self.objective.grad_phi(x)
-        accepted, x_hat = self.admit(p_hat)
-        if accepted:
-            self._xstar = x_hat
-            return x_next, p_hat, True
-        return x_next, p, False
+        Returns the accepted mask of the rows that remain, and {run: error}
+        for the runs dropped because their response solve raised.
+        """
+        X, P = self.X, self.P
+        if self.rule.kind == "NE":
+            F = self.Xstar
+        elif self.rule.kind == "BR":
+            F = _best_responses(self.game, X, P)
+        else:
+            F = _pg_steps(self.game, X, P, self.rule.eta)
+        P_hat = P + b * self.objective.grad_phi(X)
+        X_hat, accepted, errors = self._admit(P_hat, self.warm)
+        self.X = X + a * (F - X)
+        rows = accepted[:, None]
+        self.P = np.where(rows, P_hat, P)
+        self.Xstar = np.where(rows, X_hat, self.Xstar)
+        self.warm = X_hat
+        if errors:
+            kept, failures = self._drop(errors)
+            return accepted[kept], failures
+        return accepted, {}
 
+    def _drop(self, errors):
+        """Remove the rows keyed in ``errors``.
 
-def _check_rule(game: GameModel, rule: LearningRule):
-    if rule.kind == "BR" and game.br_structure is None:
-        raise ValueError(f"game {game.name!r} does not support the BR rule")
-    if rule.kind == "PG" and not 0.0 < rule.eta < _pg_eta_bound(game):
-        raise ValueError(
-            f"eta={rule.eta} outside the admissible range "
-            f"(0, {_pg_eta_bound(game):.6g}) for this game"
-        )
+        Returns the mask of the rows kept and {run: error}.
+        """
+        kept = np.ones(len(self.runs), dtype=bool)
+        kept[list(errors)] = False
+        failures = {int(self.runs[row]): exc for row, exc in errors.items()}
+        self.X, self.P, self.Xstar = self.X[kept], self.P[kept], self.Xstar[kept]
+        self.warm, self.runs = self.warm[kept], self.runs[kept]
+        return kept, failures
+
+    def _admit(self, P, warm):
+        """Responses to each row of P and the gate's verdict on each row.
+
+        Membership in the working sublevel set: an interior response whose
+        gap is at most the level. A solve that raises fails only its own
+        row: the rows are solved again one by one to find it.
+        """
+        errors = {}
+        try:
+            X, interior = self.oracle.response(P, warm)
+        except SolverError:
+            X, interior = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
+            for r in range(len(P)):
+                row_warm = None if warm is None else warm[r:r + 1]
+                try:
+                    X[r:r + 1], interior[r:r + 1] = self.oracle.response(P[r:r + 1], row_warm)
+                except SolverError as exc:
+                    errors[r] = exc
+        return X, interior & (self.objective.gap(X) <= self.level), errors
 
 
 def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:
@@ -328,8 +372,9 @@ def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry,
               solver_cfg: Optional[ResponseSolverConfig] = None):
     """One strategy-incentive update from state (x, p, k).
 
-    Returns (x', p', indicator_accepted). The strategy update is a convex
-    combination so x' stays in the box whenever f maps into it.
+    Returns (x', p', indicator_accepted), one step of a one-run engine.
+    The strategy update is a convex combination so x' stays in the box
+    whenever f maps into it.
     """
     x, p, k = state
     game = geom.game
@@ -338,75 +383,134 @@ def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry,
     if not game.space.contains(x, margin=0.0):
         raise ValueError("x lies outside the strategy box")
     _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), solver_cfg)
-    engine.bind(p)
-    x_next, p_next, accepted = engine.step(x, p, int(k), cfg.schedule, cfg.rule)
+    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule, solver_cfg)
+    failures = engine.start(x[None], p[None], [0])
+    if not failures:
+        accepted, failures = engine.step(cfg.schedule.a(int(k)), cfg.schedule.b(int(k)))
+    if failures:
+        raise failures[0]
+    x_next, p_next = engine.X[0], engine.P[0]
     if not game.space.contains(x_next, margin=0.0):
         raise AssertionError("strategy update left the box; broken rule output")
-    return x_next, p_next, accepted
+    return x_next, p_next, bool(accepted[0])
+
+
+def _validated_starts(x0, p0, game: GameModel):
+    """(X0, P0, {run: error}) with the starts of R runs stacked as (R, n)."""
+    X0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    P0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    if len(X0) != len(P0):
+        raise ValueError(f"{len(X0)} strategy starts but {len(P0)} incentive starts")
+    errors = {}
+    for r in range(len(X0)):
+        try:
+            as_vector(X0[r], dim=game.dim, name="x0")
+            as_vector(P0[r], dim=game.dim, name="p0")
+            if not game.space.contains(X0[r], margin=0.0):
+                raise ValueError("x0 lies outside the strategy box")
+        except ValueError as exc:
+            errors[r] = exc
+    return X0, P0, errors
 
 
 def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry,
-             solver_cfg: Optional[ResponseSolverConfig] = None):
+             solver_cfg: Optional[ResponseSolverConfig] = None,
+             schedules=None):
     """Iterate the two-timescale update for cfg.max_iter steps.
 
-    Returns (record, summary). The record samples every ``record_every``
-    steps plus the initial and final states; it also keeps the full
-    per-step acceptance array so acceptance fractions over any window stay
-    exact. Summary reports final errors and the accepted fraction over the
-    last tenth of the run.
+    One run takes x0 and p0 of shape (n,) and returns (record, summary),
+    raising if the run fails. A batch takes (R, n) stacks, one run per
+    row, and steps all R runs together; ``schedules`` gives each run its
+    own StepSchedule (cfg.schedule by default). It returns one entry per
+    run: (record, summary), or the exception that stopped that run. A run
+    whose start is invalid fails before the loop, a run whose response
+    solve raises fails where it stops, and neither changes the other runs:
+    each run's output is the same as when it runs alone.
+
+    The record samples every ``record_every`` steps plus the initial and
+    final states; it also keeps the full per-step acceptance array so
+    acceptance fractions over any window stay exact. Summary reports final
+    errors and the accepted fraction over the last tenth of the run.
     """
+    single = np.ndim(x0) == 1
     game = geom.game
-    x = as_vector(x0, dim=game.dim, name="x0").copy()
-    p = as_vector(p0, dim=game.dim, name="p0").copy()
-    if not game.space.contains(x, margin=0.0):
-        raise ValueError("x0 lies outside the strategy box")
+    objective = geom.objective
+    X0, P0, outcomes = _validated_starts(x0, p0, game)
+    R = len(X0)
+    if R == 0:
+        return []
+    schedules = [cfg.schedule] * R if schedules is None else list(schedules)
+    if len(schedules) != R:
+        raise ValueError(f"{len(schedules)} schedules for {R} runs")
     _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), solver_cfg)
-    try:
-        engine.bind(p)
-    except ValueError:
-        raise ValueError("p0 lies outside the working sublevel set") from None
+    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule, solver_cfg)
 
-    record = TtsaRecord(dim=game.dim)
-    accepts = np.zeros(cfg.max_iter, dtype=bool)
-    accepted_mass = 0.0
-    grad_phi = geom.objective.grad_phi
+    # Step sizes per distinct schedule, indexed [k, schedule, 0] so that
+    # a[k, group] is the (R, 1) column of the active rows.
+    K = cfg.max_iter
+    distinct = list(dict.fromkeys(schedules))
+    group = np.array([distinct.index(s) for s in schedules])
+    a_tab = np.stack([np.fromiter(map(s.a, range(K)), float, K) for s in distinct],
+                     axis=1)[:, :, None]
+    b_tab = np.stack([np.fromiter(map(s.b, range(K)), float, K) for s in distinct],
+                     axis=1)[:, :, None]
 
-    def sample(k, accepted_flag):
-        xstar = engine._xstar
-        record.append(
-            k, x, p,
-            tracking=np.linalg.norm(x - xstar),
-            incentive=np.linalg.norm(p - geom.p_dagger),
-            V=geom.objective.gap(xstar),
-            accepted=accepted_flag,
-            xi_norm=np.linalg.norm(grad_phi(x) - grad_phi(xstar)),
-        )
+    valid = np.array([r for r in range(R) if r not in outcomes], dtype=int)
+    outcomes.update(engine.start(X0[valid], P0[valid], valid))
 
-    sample(0, True)
-    for k in range(cfg.max_iter):
-        x, p, accepted = engine.step(x, p, k, cfg.schedule, cfg.rule)
-        accepts[k] = accepted
-        if accepted:
-            accepted_mass += cfg.schedule.b(k)
+    records = {int(run): TtsaRecord(dim=game.dim) for run in engine.runs}
+    accepts = np.zeros((K, R), dtype=bool)
+    grad_phi = objective.grad_phi
+
+    def sample(k, accepted):
+        for row, run in enumerate(engine.runs):
+            x, p, xstar = engine.X[row], engine.P[row], engine.Xstar[row]
+            records[run].append(
+                k, x, p,
+                tracking=np.linalg.norm(x - xstar),
+                incentive=np.linalg.norm(p - geom.p_dagger),
+                V=objective.gap(xstar),
+                accepted=accepted[row],
+                xi_norm=np.linalg.norm(grad_phi(x) - grad_phi(xstar)),
+            )
+
+    sample(0, np.ones(len(engine.runs), dtype=bool))
+    g = group[engine.runs]
+    for k in range(K):
+        if not len(engine.runs):
+            break
+        accepted, failures = engine.step(a_tab[k, g], b_tab[k, g])
+        if failures:
+            outcomes.update(failures)
+            for run in failures:
+                del records[run]
+            g = group[engine.runs]
+        accepts[k, engine.runs] = accepted
         k1 = k + 1
-        if k1 % cfg.record_every == 0 or k1 == cfg.max_iter:
+        if k1 % cfg.record_every == 0 or k1 == K:
             sample(k1, accepted)
-    record.step_accepts = accepts
-    record.accepted_mass = accepted_mass
 
-    tail_start = int(math.floor(0.9 * cfg.max_iter))
-    summary = {
-        "final_tracking_error": record.tracking_errors[-1],
-        "final_incentive_error": record.incentive_errors[-1],
-        "final_V": record.values[-1],
-        "accepted_fraction_last_10pct": record.acceptance_fraction(tail_start),
-        "accepted_fraction_full": record.acceptance_fraction(0),
-        "accepted_mass": accepted_mass,
-        "iterations": cfg.max_iter,
-    }
-    return record, summary
+    tail_start = int(math.floor(0.9 * K))
+    for run, record in records.items():
+        record.step_accepts = accepts[:, run].copy()
+        # a running sum, in step order, of b_k over the accepted steps
+        masses = np.cumsum(b_tab[record.step_accepts, group[run], 0])
+        record.accepted_mass = float(masses[-1]) if len(masses) else 0.0
+        outcomes[run] = (record, {
+            "final_tracking_error": record.tracking_errors[-1],
+            "final_incentive_error": record.incentive_errors[-1],
+            "final_V": record.values[-1],
+            "accepted_fraction_last_10pct": record.acceptance_fraction(tail_start),
+            "accepted_fraction_full": record.acceptance_fraction(0),
+            "accepted_mass": record.accepted_mass,
+            "iterations": K,
+        })
+    results = [outcomes[r] for r in range(R)]
+    if single:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from socialgrad import (
     ExperimentConfig,
     in_sublevel_set,
+    make_sublevel_geometry,
     resolve_config,
     resolve_instance,
     run_flow_batch,
@@ -412,3 +413,87 @@ def test_cli_dispatch_validation_exit_2(tmp_path, capsys):
     })
     assert cli.main(["sweep", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# batches: a run's output does not depend on its batch or on jobs
+
+
+@pytest.mark.parametrize("rule", [{"kind": "NE"}, {"kind": "BR"},
+                                  {"kind": "PG", "eta": 0.1}])
+def test_ttsa_run_bytes_independent_of_batch_and_jobs(tmp_path, rule):
+    base = {"num_initial_conditions": 8, "seed": 4, "max_iter": 300,
+            "record_every": 50, "rule": rule}
+    outs = {}
+    for tag, extra in (("serial", {}), ("jobs2", {"jobs": 2})):
+        out = tmp_path / tag
+        _, summary = run_ttsa_batch(resolve_config(
+            "ttsa", file_cfg=dict(base, output_dir=str(out), **extra)))
+        assert summary["failed"] == 0
+        outs[tag] = out
+    cfg = resolve_config("ttsa", file_cfg=base)
+    _, game, objective = resolve_instance(cfg)
+    geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction)
+    pairs = sample_initial_conditions(cfg, game, objective, geom)
+    for i in (0, 5, 7):
+        x0, p0 = pairs[i]
+        alone = tmp_path / f"alone{i}"
+        run_ttsa_batch(resolve_config("ttsa", file_cfg=dict(
+            base, num_initial_conditions=1, x0=x0.tolist(), p0=p0.tolist(),
+            output_dir=str(alone))))
+        solo = (alone / "ttsa_run_000.csv").read_bytes()
+        for out in outs.values():
+            assert (out / f"ttsa_run_{i:03d}.csv").read_bytes() == solo
+
+
+def test_sweep_point_bytes_independent_of_batch_and_jobs(tmp_path):
+    base = {"preset": "oscillator-2", "max_iter": 200, "record_every": 50}
+    both, alone, jobs2 = tmp_path / "both", tmp_path / "alone", tmp_path / "jobs2"
+    run_timescale_sweep(resolve_config("sweep", file_cfg=dict(
+        base, gammas=[0.2, 0.3], output_dir=str(both))))
+    run_timescale_sweep(resolve_config("sweep", file_cfg=dict(
+        base, gammas=[0.3], output_dir=str(alone))))
+    run_timescale_sweep(resolve_config("sweep", file_cfg=dict(
+        base, gammas=[0.2, 0.3], jobs=2, output_dir=str(jobs2))))
+    solo = (alone / "ttsa_run_000.csv").read_bytes()
+    assert (both / "ttsa_run_001.csv").read_bytes() == solo
+    assert (jobs2 / "ttsa_run_001.csv").read_bytes() == solo
+    assert ((both / "sweep.csv").read_bytes() == (jobs2 / "sweep.csv").read_bytes())
+
+
+def test_worker_count_is_bounded():
+    import os
+
+    from socialgrad.experiments import worker_count
+
+    cpus = os.cpu_count() or 1
+    assert worker_count(10_000, 10_000) == cpus
+    assert worker_count(10_000, 3) == min(3, cpus)
+    assert worker_count(1, 50) == 1
+    assert worker_count(4, 0) == 1
+
+
+def test_partial_inline_aggregative_spec_is_a_config_error(tmp_path, capsys):
+    # the explicit instance gives q and a but no W
+    game = {"kind": "aggregative", "q": [1.0, 1.5], "a": 0.3}
+    cfg = _write_cfg(tmp_path / "p.json", {
+        "game": game, "x_dagger": [0.1, 0.1], "output_dir": str(tmp_path / "po"),
+    })
+    assert cli.main(["ttsa", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "W" in err
+    assert cli.main(["verify", "--config", cfg]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "po" / "verify_report.json").read_text())
+    assert [e["name"] for e in report["report"]] == ["construction"]
+    assert report["report"][0]["passed"] is False
+    assert "W" in report["report"][0]["note"]
+
+
+def test_inline_spec_rejects_unknown_keys(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "u.json", {
+        "game": {"kind": "aggregative", "sed": 3}, "x_dagger": [0.1] * 5,
+        "output_dir": str(tmp_path / "uo"),
+    })
+    assert cli.main(["ttsa", "--config", cfg]) == 2
+    assert "sed" in capsys.readouterr().err

@@ -244,6 +244,21 @@ def test_game_spec_from_dict_oscillator():
         game_spec_from_dict({"kind": "bimatrix"})
 
 
+def test_game_spec_from_dict_rejects_malformed_specs():
+    explicit = {"kind": "aggregative", "q": [1.0, 1.5],
+                "W": [[0.0, 1.0], [1.0, 0.0]], "a": 0.3}
+    for bad, word in (
+        ({"kind": "aggregative", "q": [1.0, 1.5], "a": 0.3}, "W"),
+        ({"kind": "aggregative", "sed": 3}, "sed"),
+        (dict(explicit, n=5), "n and seed"),
+        ({"kind": "oscillator", "theta": 4.5}, "oscillator"),
+        ({"kind": "oscillator", "box": {"lower": [0.0, 0.0]}}, "box"),
+        (["aggregative"], "mapping"),
+    ):
+        with pytest.raises(ValueError, match=word):
+            game_spec_from_dict(bad)
+
+
 def test_load_preset_errors():
     with pytest.raises(ValueError):
         load_preset("aggregative-9")

@@ -269,3 +269,140 @@ def test_config_to_dict_roundtrip(agg):
     assert d["schedule"]["a_exp"] == 0.6
     assert d["max_iter"] == 50
     assert d["seed"] == 11
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against a plain per-step loop
+
+
+def reference_run(x, p, rule, schedule, geom, steps):
+    """The gated two-timescale update, one run, written as a plain loop."""
+    game, objective = geom.game, geom.objective
+    lo, hi = game.space.lower, game.space.upper
+    warm = None
+
+    def respond(p):
+        nonlocal warm
+        res = solve_response(game, p, geom.solver_cfg, x0=warm)
+        warm = res.x_star
+        return res.x_star, res.interior
+
+    xstar, _ = respond(p)
+    for k in range(steps):
+        if rule.kind == "NE":
+            f = xstar
+        elif rule.kind == "BR":
+            q, coupling = game.br_structure
+            f = np.clip(-(p + coupling @ x) / q, lo, hi)
+        else:
+            f = np.clip(x - rule.eta * (game.g0(x) + p), lo, hi)
+        p_hat = p + schedule.b(k) * objective.grad_phi(x)
+        x_hat, interior = respond(p_hat)
+        x = x + schedule.a(k) * (f - x)
+        if interior and objective.gap(x_hat) <= geom.c:
+            p, xstar = p_hat, x_hat
+    return x, p
+
+
+@pytest.mark.parametrize("kind, eta", [("NE", None), ("BR", None), ("PG", 0.1)])
+def test_batch_engine_matches_reference_aggregative(agg, agg_geom80, draw_admissible,
+                                                    kind, eta):
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom80, 4, seed=5)
+    X0 = np.array([x for x, _ in pairs])
+    P0 = np.array([p for _, p in pairs])
+    cfg = make_cfg(agg.game, kind, eta=eta, max_iter=400, record_every=400)
+    outcomes = run_ttsa(X0, P0, cfg, agg_geom80)
+    for (x0, p0), (rec, _) in zip(pairs, outcomes):
+        x, p = reference_run(x0, p0, cfg.rule, cfg.schedule, agg_geom80, 400)
+        assert np.max(np.abs(rec.strategies[-1] - x)) <= 1e-12
+        assert np.max(np.abs(rec.incentives[-1] - p)) <= 1e-12
+
+
+def test_batch_engine_matches_reference_oscillator_pg(osc, osc_geom95):
+    # two runs with their own schedules in one batch, as in the sweep
+    schedules = [StepSchedule(a_exp=0.6, b_exp=0.7), StepSchedule(a_exp=0.6, b_exp=0.9)]
+    starts = [(np.array([0.0, -0.5]), np.array([-3.0, -3.0])),
+              (np.array([0.3, 0.2]), np.array([-2.5, -2.8]))]
+    cfg = make_cfg(osc.game, "PG", eta=0.15, max_iter=300, record_every=300)
+    outcomes = run_ttsa(np.array([x for x, _ in starts]), np.array([p for _, p in starts]),
+                        cfg, osc_geom95, schedules=schedules)
+    for (x0, p0), schedule, (rec, _) in zip(starts, schedules, outcomes):
+        x, p = reference_run(x0, p0, cfg.rule, schedule, osc_geom95, 300)
+        assert np.max(np.abs(rec.strategies[-1] - x)) <= 1e-12
+        assert np.max(np.abs(rec.incentives[-1] - p)) <= 1e-12
+
+
+def _csv_bytes(record, path):
+    record.write_csv(path)
+    return path.read_bytes()
+
+
+def test_invalid_start_fails_only_its_run(agg, agg_geom80, draw_admissible, tmp_path):
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom80, 4, seed=8)
+    X0 = np.array([x for x, _ in pairs])
+    P0 = np.array([p for _, p in pairs])
+    X0[2] = 5.0                               # outside the strategy box
+    cfg = make_cfg(agg.game, "BR", max_iter=300, record_every=50)
+    outcomes = run_ttsa(X0, P0, cfg, agg_geom80)
+    assert isinstance(outcomes[2], ValueError)
+    assert str(outcomes[2]) == "x0 lies outside the strategy box"
+    for i in (0, 1, 3):
+        solo, _ = run_ttsa(X0[i], P0[i], cfg, agg_geom80)
+        assert (_csv_bytes(outcomes[i][0], tmp_path / f"batch{i}.csv")
+                == _csv_bytes(solo, tmp_path / f"solo{i}.csv"))
+
+
+def test_solver_failure_mid_run_fails_only_its_run(osc, osc_geom95, monkeypatch,
+                                                   tmp_path):
+    import socialgrad.solvers as solvers
+
+    starts = [(np.array([0.0, -0.5]), np.array([-3.0, -3.0])),
+              (np.array([0.3, 0.2]), np.array([-2.5, -2.8]))]
+    X0 = np.array([x for x, _ in starts])
+    P0 = np.array([p for _, p in starts])
+    cfg = make_cfg(osc.game, "PG", eta=0.15, max_iter=100, record_every=10)
+    solo = [run_ttsa(x, p, cfg, osc_geom95)[0] for x, p in starts]
+    # the incentive run 0 proposes at step 50, rebuilt from its solo record
+    j = solo[0].steps.index(50)
+    doomed = (solo[0].incentives[j]
+              + cfg.schedule.b(50) * osc.objective.grad_phi(solo[0].strategies[j]))
+    original = solvers.solve_response
+
+    def failing(game, p, *args, **kwargs):
+        if np.array_equal(p, doomed):
+            raise solvers.SolverError("injected failure")
+        return original(game, p, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_response", failing)
+    outcomes = run_ttsa(X0, P0, cfg, osc_geom95)
+    assert isinstance(outcomes[0], solvers.SolverError)
+    record, _ = outcomes[1]
+    assert (_csv_bytes(record, tmp_path / "batch.csv")
+            == _csv_bytes(solo[1], tmp_path / "solo.csv"))
+
+
+def test_run_ttsa_rejects_mismatched_batches(agg, agg_geom80):
+    cfg = make_cfg(agg.game, max_iter=10)
+    with pytest.raises(ValueError):
+        run_ttsa(np.zeros((2, 5)), np.zeros((3, 5)), cfg, agg_geom80)
+    with pytest.raises(ValueError):
+        run_ttsa(np.zeros((2, 5)), np.zeros((2, 5)), cfg, agg_geom80,
+                 schedules=[StepSchedule()])
+
+
+def test_batch_solves_warm_start_per_row(osc, osc_geom95, monkeypatch):
+    import socialgrad.solvers as solvers
+
+    cold = []
+    original = solvers.solve_response_potential
+
+    def counting(game, p, cfg, x0=None):
+        cold.append(x0 is None)
+        return original(game, p, cfg, x0)
+
+    monkeypatch.setattr(solvers, "solve_response_potential", counting)
+    cfg = make_cfg(osc.game, "PG", eta=0.15, max_iter=50, record_every=50)
+    run_ttsa(np.array([[0.0, -0.5], [0.3, 0.2]]), np.array([[-3.0, -3.0], [-2.5, -2.8]]),
+             cfg, osc_geom95)
+    assert len(cold) == 2 + 2 * 50
+    assert sum(cold) == 2          # only the two starts solve cold
