@@ -33,7 +33,7 @@ from .flow import (
 from .games import GameModel, certify_strong_monotonicity
 from .objectives import SocialObjective, quadratic_objective
 from .presets import PRESET_NAMES, build_game_from_spec, game_spec_from_dict, load_preset
-from .records import fmt17, write_json
+from .records import fmt17, write_csv, write_json
 from .solvers import (
     ResponseSolverConfig,
     interior_margin,
@@ -112,11 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return _typed(cls, d, "config")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -174,14 +170,21 @@ def resolve_instance(cfg: ExperimentConfig):
     return bundle.spec, bundle.game, objective
 
 
-def _solver_cfg(cfg: ExperimentConfig) -> ResponseSolverConfig:
-    return ResponseSolverConfig(**cfg.solver)
+def _typed(cls, params, name: str, **overrides):
+    """The config dataclass ``cls`` from the config's ``name`` mapping.
 
-
-def _schedule(cfg: ExperimentConfig, **overrides) -> StepSchedule:
-    params = dict(cfg.schedule)
-    params.update(overrides)
-    return StepSchedule(**params)
+    Unknown keys, values of the wrong type and values that ``cls`` rejects
+    all raise ValueError, so a malformed setting is a configuration error.
+    """
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} must be a mapping")
+    unknown = set(params) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    try:
+        return cls(**{**params, **overrides})
+    except TypeError as exc:
+        raise ValueError(f"invalid {name}: {exc}") from None
 
 
 def _rule(cfg: ExperimentConfig, game: GameModel) -> LearningRule:
@@ -246,74 +249,89 @@ def sample_initial_conditions(cfg: ExperimentConfig, game: GameModel,
 
 
 # ---------------------------------------------------------------------------
-# batch workers: module-level and fed only picklable payloads, so the same
-# code path serves in-process execution and process pools
+# batches: the parent resolves every config, then module-level workers take
+# contiguous chunks of runs as picklable payloads, in process or in a pool
 
 
-def _build_worker_geometry(task: dict):
-    spec = task["spec"]
-    game = build_game_from_spec(spec)
-    objective = quadratic_objective(np.asarray(task["x_dagger"], dtype=float))
-    solver_cfg = ResponseSolverConfig(**task["solver"])
-    geom = make_sublevel_geometry(game, objective, c=task["c"],
-                                  solver_cfg=solver_cfg, c_star=task["c_star"])
-    return game, objective, geom
+@dataclass(frozen=True)
+class RunSpec:
+    """The picklable part of a batch: what a worker needs to rebuild the
+    parent's geometry (c* included, so no worker rescans the boundary) and
+    the directory the runs write into."""
+
+    game: object
+    x_dagger: np.ndarray
+    solver: ResponseSolverConfig
+    c: float
+    c_star: float
+    out_dir: Path
+
+    def geometry(self) -> SublevelGeometry:
+        game = build_game_from_spec(self.game)
+        objective = quadratic_objective(self.x_dagger)
+        return make_sublevel_geometry(game, objective, c=self.c, solver_cfg=self.solver,
+                                      c_star=self.c_star)
 
 
-def _flow_worker(task: dict) -> dict:
-    idx = task["run_index"]
-    out = {"run_index": idx, "ok": False, "error": None, "summary": None,
-           "csv": None, "V0": None}
+def _result(idx: int, exc: Optional[Exception] = None, **fields) -> dict:
+    """A run's entry in the batch results: ``fields`` if it succeeded, the
+    error that stopped it otherwise."""
+    if exc is not None:
+        return {"run_index": idx, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    return {"run_index": idx, "ok": True, "error": None, **fields}
+
+
+def _flow_run(run: RunSpec, geom, cfg: FlowConfig, idx: int, p0) -> dict:
     try:
-        game, objective, geom = _build_worker_geometry(task)
-        fcfg = FlowConfig(**task["flow"])
-        record, summary = integrate_social_gradient_flow(
-            geom, np.asarray(task["p0"], dtype=float), fcfg)
-        path = Path(task["out_dir"]) / f"flow_run_{idx:03d}.csv"
+        record, summary = integrate_social_gradient_flow(geom, p0, cfg)
+        path = run.out_dir / f"flow_run_{idx:03d}.csv"
         record.write_csv(path)
-        out.update(ok=True, summary=summary, csv=str(path), V0=record.values[0])
     except Exception as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    return out
+        return _result(idx, exc)
+    return _result(idx, summary=summary, csv=str(path), V0=record.values[0])
 
 
-def _ttsa_worker(task: dict) -> list:
-    """Step one contiguous chunk of runs as one batch; one result per run."""
-    runs = task["run_indices"]
-    schedules = [StepSchedule(**s) for s in task["schedules"]]
+def _ttsa_runs(run: RunSpec, geom, cfg: TtsaConfig, chunk) -> list:
+    """Step a chunk of (run index, schedule, x0, p0) as one batch."""
+    runs, schedules, x0, p0 = zip(*chunk)
     try:
-        game, objective, geom = _build_worker_geometry(task)
-        tcfg = TtsaConfig(
-            schedule=schedules[0],
-            rule=LearningRule(**task["rule"]),
-            max_iter=task["max_iter"],
-            record_every=task["record_every"],
-            seed=task["seed"],
-        )
-        outcomes = run_ttsa(np.asarray(task["x0"], dtype=float),
-                            np.asarray(task["p0"], dtype=float),
-                            tcfg, geom, schedules=schedules)
+        outcomes = run_ttsa(np.array(x0, dtype=float), np.array(p0, dtype=float),
+                            cfg, geom, schedules=schedules)
     except Exception as exc:
-        outcomes = [exc] * len(runs)
+        outcomes = [exc] * len(chunk)
     results = []
     for idx, schedule, outcome in zip(runs, schedules, outcomes):
-        out = {"run_index": idx, "ok": False, "error": None, "summary": None,
-               "csv": None, "steps": None, "tracking": None, "incentive": None}
         try:
             if isinstance(outcome, Exception):
                 raise outcome
             record, summary = outcome
-            stem = Path(task["out_dir"]) / f"ttsa_run_{idx:03d}"
+            stem = run.out_dir / f"ttsa_run_{idx:03d}"
             record.write_csv(stem.with_suffix(".csv"))
             record.write_json(stem.with_suffix(".json"),
-                              config=dataclasses.replace(tcfg, schedule=schedule).to_dict())
-            out.update(ok=True, summary=summary, csv=str(stem.with_suffix(".csv")),
-                       steps=list(record.steps), tracking=list(record.tracking_errors),
-                       incentive=list(record.incentive_errors))
+                              config=dataclasses.replace(cfg, schedule=schedule).to_dict())
         except Exception as exc:
-            out["error"] = f"{type(exc).__name__}: {exc}"
-        results.append(out)
+            results.append(_result(idx, exc))
+            continue
+        results.append(_result(idx, summary=summary, csv=str(stem.with_suffix(".csv")),
+                               steps=list(record.steps),
+                               tracking=list(record.tracking_errors),
+                               incentive=list(record.incentive_errors)))
     return results
+
+
+def _run_chunk(run: RunSpec, cfg, chunk: list) -> list:
+    """One result per run of the chunk; the geometry is built once.
+
+    A TtsaConfig steps the chunk's runs together through run_ttsa; a
+    FlowConfig integrates each run's p0 in turn.
+    """
+    try:
+        geom = run.geometry()
+    except Exception as exc:
+        return [_result(item[0], exc) for item in chunk]
+    if isinstance(cfg, TtsaConfig):
+        return _ttsa_runs(run, geom, cfg, chunk)
+    return [_flow_run(run, geom, cfg, idx, p0) for idx, p0 in chunk]
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -322,59 +340,60 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
-def _run_tasks(worker, tasks, jobs: int):
-    workers = worker_count(jobs, len(tasks))
-    if workers == 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+def _run_batch(run: RunSpec, cfg, items: list, jobs: int) -> list:
+    """Results of the runs in ``items``, in order (see _run_chunk).
 
-
-def _run_ttsa_runs(cfg: ExperimentConfig, spec, objective, geom, rule,
-                   schedules, ics, run_indices, out_dir: Path):
-    """Run the TTSA runs given by per-run schedules, starts and indices.
-
-    The runs are split into contiguous chunks, one per worker process, and
-    each chunk is stepped as one batch. Every run's output is independent
-    of the chunking, so ``jobs`` changes the wall time only.
+    Each item starts with its run index. The items are split into
+    contiguous chunks, one per worker process. Every run's output is
+    independent of the chunking, so ``jobs`` changes the wall time only.
     """
-    if not ics:
+    if not items:
         return []
-    base = {
-        "spec": spec, "x_dagger": objective.x_dagger.tolist(),
-        "solver": cfg.solver, "c": geom.c, "c_star": geom.c_star,
-        "rule": dataclasses.asdict(rule),
-        "max_iter": cfg.max_iter, "record_every": cfg.record_every,
-        "seed": cfg.seed, "out_dir": str(out_dir),
-    }
-    chunks = np.array_split(np.arange(len(ics)), worker_count(cfg.jobs, len(ics)))
-    tasks = [dict(base,
-                  run_indices=[run_indices[i] for i in chunk],
-                  schedules=[dataclasses.asdict(schedules[i]) for i in chunk],
-                  x0=[np.asarray(ics[i][0], dtype=float).tolist() for i in chunk],
-                  p0=[np.asarray(ics[i][1], dtype=float).tolist() for i in chunk])
-             for chunk in chunks]
-    return [r for chunk in _run_tasks(_ttsa_worker, tasks, cfg.jobs) for r in chunk]
+    workers = worker_count(jobs, len(items))
+    chunks = [[items[i] for i in idx]
+              for idx in np.array_split(np.arange(len(items)), workers)]
+    if workers == 1:
+        return _run_chunk(run, cfg, chunks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = pool.map(_run_chunk, [run] * workers, [cfg] * workers, chunks)
+        return [result for chunk in done for result in chunk]
+
+
+def _batch_summary(experiment: str, results: list, **fields):
+    """(the successful results, the summary header every batch writes)."""
+    failures = [{"run_index": r["run_index"], "error": r["error"]}
+                for r in results if not r["ok"]]
+    summary = {"experiment": experiment, **fields, "runs": len(results),
+               "failed": len(failures), "failures": failures}
+    return [r for r in results if r["ok"]], summary
 
 
 def _prepare_batch(cfg: ExperimentConfig):
     spec, game, objective = resolve_instance(cfg)
+    solver = _typed(ResponseSolverConfig, cfg.solver, "solver")
     geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction,
-                                  solver_cfg=_solver_cfg(cfg))
+                                  solver_cfg=solver)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, geom, out_dir)
-    return spec, game, objective, geom, out_dir
+    run = RunSpec(game=spec, x_dagger=objective.x_dagger, solver=solver,
+                  c=geom.c, c_star=geom.c_star, out_dir=out_dir)
+    return run, geom
 
 
-def _initial_conditions(cfg: ExperimentConfig, game, objective, geom):
+def _ttsa_config(cfg: ExperimentConfig, game: GameModel, **fields) -> TtsaConfig:
+    return TtsaConfig(rule=_rule(cfg, game), max_iter=cfg.max_iter,
+                      record_every=cfg.record_every, seed=cfg.seed, **fields)
+
+
+def _initial_conditions(cfg: ExperimentConfig, geom: SublevelGeometry):
     if cfg.x0 is not None or cfg.p0 is not None:
         if cfg.x0 is None or cfg.p0 is None:
             raise ValueError("pin both x0 and p0 or neither")
         x0 = np.asarray(cfg.x0, dtype=float)
         p0 = np.asarray(cfg.p0, dtype=float)
         return [(x0, p0)] * cfg.num_initial_conditions
-    return sample_initial_conditions(cfg, game, objective, geom)
+    return sample_initial_conditions(cfg, geom.game, geom.objective, geom)
 
 
 def run_flow_batch(cfg: ExperimentConfig):
@@ -387,26 +406,12 @@ def run_flow_batch(cfg: ExperimentConfig):
     """
     if cfg.experiment != "flow":
         raise ValueError("config experiment must be 'flow'")
-    spec, game, objective, geom, out_dir = _prepare_batch(cfg)
-    ics = _initial_conditions(cfg, game, objective, geom)
-    base = {
-        "spec": spec, "x_dagger": objective.x_dagger.tolist(),
-        "solver": cfg.solver, "c": geom.c, "c_star": geom.c_star,
-        "flow": cfg.flow, "out_dir": str(out_dir),
-    }
-    tasks = [dict(base, run_index=i, p0=p0.tolist())
-             for i, (_, p0) in enumerate(ics)]
-    results = _run_tasks(_flow_worker, tasks, cfg.jobs)
+    fcfg = _typed(FlowConfig, cfg.flow, "flow")
+    run, geom = _prepare_batch(cfg)
+    ics = _initial_conditions(cfg, geom)
+    results = _run_batch(run, fcfg, [(i, p0) for i, (_, p0) in enumerate(ics)], cfg.jobs)
 
-    ok = [r for r in results if r["ok"]]
-    failures = [{"run_index": r["run_index"], "error": r["error"]}
-                for r in results if not r["ok"]]
-    summary = {
-        "experiment": "flow",
-        "runs": len(results),
-        "failed": len(failures),
-        "failures": failures,
-    }
+    ok, summary = _batch_summary("flow", results)
     if ok:
         v0 = {r["run_index"]: r["V0"] for r in ok}
         imax = max(v0, key=v0.get)
@@ -420,7 +425,7 @@ def run_flow_batch(cfg: ExperimentConfig):
             "final_dist_median": float(np.median(finals)),
             "final_dist_max": float(finals.max()),
         })
-    write_json(out_dir / "summary.json", summary)
+    write_json(run.out_dir / "summary.json", summary)
     return results, summary
 
 
@@ -440,8 +445,7 @@ def _write_envelope_csv(path: Path, steps, tracking_rows, incentive_rows):
             fmt17(np.median(incentive[:, j])), fmt17(incentive[:, j].min()),
             fmt17(incentive[:, j].max()),
         ])
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-    path.write_text(text, newline="\n")
+    write_csv(path, header, rows)
 
 
 def run_ttsa_batch(cfg: ExperimentConfig):
@@ -452,30 +456,21 @@ def run_ttsa_batch(cfg: ExperimentConfig):
     """
     if cfg.experiment != "ttsa":
         raise ValueError("config experiment must be 'ttsa'")
-    spec, game, objective, geom, out_dir = _prepare_batch(cfg)
-    rule = _rule(cfg, game)   # validates kind/eta against this game
-    schedule = _schedule(cfg)
-    ics = _initial_conditions(cfg, game, objective, geom)
-    results = _run_ttsa_runs(cfg, spec, objective, geom, rule, [schedule] * len(ics),
-                             ics, list(range(len(ics))), out_dir)
+    schedule = _typed(StepSchedule, cfg.schedule, "schedule")
+    run, geom = _prepare_batch(cfg)
+    tcfg = _ttsa_config(cfg, geom.game, schedule=schedule)
+    ics = _initial_conditions(cfg, geom)
+    results = _run_batch(run, tcfg, [(i, schedule, x0, p0) for i, (x0, p0) in enumerate(ics)],
+                         cfg.jobs)
 
-    ok = [r for r in results if r["ok"]]
-    failures = [{"run_index": r["run_index"], "error": r["error"]}
-                for r in results if not r["ok"]]
-    summary = {
-        "experiment": "ttsa",
-        "rule": rule.kind,
-        "runs": len(results),
-        "failed": len(failures),
-        "failures": failures,
-    }
+    ok, summary = _batch_summary("ttsa", results, rule=tcfg.rule.kind)
     if ok:
         steps = ok[0]["steps"]
-        _write_envelope_csv(out_dir / "envelope.csv", steps,
+        _write_envelope_csv(run.out_dir / "envelope.csv", steps,
                             [r["tracking"] for r in ok],
                             [r["incentive"] for r in ok])
         summary.update({
-            "envelope_csv": str(out_dir / "envelope.csv"),
+            "envelope_csv": str(run.out_dir / "envelope.csv"),
             "final_tracking_median": float(np.median(
                 [r["summary"]["final_tracking_error"] for r in ok])),
             "final_incentive_median": float(np.median(
@@ -483,7 +478,7 @@ def run_ttsa_batch(cfg: ExperimentConfig):
             "min_accepted_fraction_last_10pct": float(min(
                 r["summary"]["accepted_fraction_last_10pct"] for r in ok)),
         })
-    write_json(out_dir / "summary.json", summary)
+    write_json(run.out_dir / "summary.json", summary)
     return results, summary
 
 
@@ -493,7 +488,8 @@ def run_timescale_sweep(cfg: ExperimentConfig):
     Fixes the fast exponent at a_exp_base and runs one fixed-horizon
     iteration per gamma with b_exp = a_exp_base + gamma. Gammas pushing
     b_exp outside (1/2, 1] are skipped with a warning; nonpositive gammas
-    (no separation) are rejected outright.
+    (no separation) are rejected outright. The kept gammas are the runs of
+    one batch, each with its own schedule.
     """
     if cfg.experiment != "sweep":
         raise ValueError("config experiment must be 'sweep'")
@@ -503,25 +499,23 @@ def run_timescale_sweep(cfg: ExperimentConfig):
                 f"gamma={gamma} <= 0 gives b_exp <= a_exp; timescale "
                 "separation requires positive gamma"
             )
-    spec, game, objective, geom, out_dir = _prepare_batch(cfg)
-    rule = _rule(cfg, game)
-    ics = _initial_conditions(cfg, game, objective, geom)
-    kept = []
-    skipped = []
+    run, geom = _prepare_batch(cfg)
+    tcfg = _ttsa_config(cfg, geom.game)
+    x0, p0 = _initial_conditions(cfg, geom)[0]
+    kept, items, skipped = [], [], []
     for i, gamma in enumerate(cfg.gammas):
         b_exp = cfg.a_exp_base + gamma
         if not 0.5 < b_exp <= 1.0:
             warnings.warn(f"gamma={gamma} gives b_exp={b_exp:.3g} outside (1/2, 1]; skipped")
             skipped.append(gamma)
             continue
-        kept.append((i, gamma, b_exp))
-    results = _run_ttsa_runs(
-        cfg, spec, objective, geom, rule,
-        [_schedule(cfg, a_exp=cfg.a_exp_base, b_exp=b_exp) for _, _, b_exp in kept],
-        [ics[0]] * len(kept), [i for i, _, _ in kept], out_dir)
+        kept.append((gamma, b_exp))
+        items.append((i, _typed(StepSchedule, cfg.schedule, "schedule",
+                                a_exp=cfg.a_exp_base, b_exp=b_exp), x0, p0))
+    results = _run_batch(run, tcfg, items, cfg.jobs)
 
     rows = []
-    for (_, gamma, b_exp), res in zip(kept, results):
+    for (gamma, b_exp), res in zip(kept, results):
         if not res["ok"]:
             rows.append({"gamma": gamma, "b_exp": b_exp, "error": res["error"]})
             continue
@@ -533,22 +527,19 @@ def run_timescale_sweep(cfg: ExperimentConfig):
             "accepted_fraction": res["summary"]["accepted_fraction_full"],
         })
 
-    table_rows = [r for r in rows if "error" not in r]
     header = ["gamma", "b_exp", "final_tracking_error",
               "final_incentive_error", "accepted_fraction"]
-    lines = [",".join(header)]
-    for r in table_rows:
-        lines.append(",".join(fmt17(r[h]) for h in header))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    write_csv(run.out_dir / "sweep.csv", header,
+              [[fmt17(r[h]) for h in header] for r in rows if "error" not in r])
 
     summary = {
         "experiment": "sweep",
         "rows": rows,
         "skipped_gammas": skipped,
         "failed": sum(1 for r in rows if "error" in r),
-        "sweep_csv": str(out_dir / "sweep.csv"),
+        "sweep_csv": str(run.out_dir / "sweep.csv"),
     }
-    write_json(out_dir / "summary.json", summary)
+    write_json(run.out_dir / "summary.json", summary)
     return rows, summary
 
 
@@ -579,6 +570,8 @@ def run_verify(cfg: ExperimentConfig):
     """
     if cfg.experiment != "verify":
         raise ValueError("config experiment must be 'verify'")
+    scfg = _typed(ResponseSolverConfig, cfg.solver, "solver")
+    sched = _typed(StepSchedule, cfg.schedule, "schedule")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = []
@@ -586,7 +579,7 @@ def run_verify(cfg: ExperimentConfig):
     try:
         spec, game, objective = resolve_instance(cfg)
         geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction,
-                                      solver_cfg=_solver_cfg(cfg))
+                                      solver_cfg=scfg)
     except (ValueError, TypeError) as exc:
         report.append(_entry("construction", passed=False,
                              note=f"{type(exc).__name__}: {exc}"))
@@ -615,7 +608,6 @@ def run_verify(cfg: ExperimentConfig):
 
     rng = _verify_rng(cfg.seed)
     eps = interior_margin(game.space)
-    scfg = _solver_cfg(cfg)
 
     # response round-trip: p = -g0(x) must reproduce x
     worst = 0.0
@@ -696,7 +688,6 @@ def run_verify(cfg: ExperimentConfig):
 
     # schedules: divergent partial sums (integral lower bound) and
     # square-summability (Hurwitz zeta reference)
-    sched = _schedule(cfg)
     K = 1_000_000
     ks = np.arange(K, dtype=float)
     ok_all = True

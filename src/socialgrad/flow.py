@@ -23,7 +23,6 @@ from .records import FlowRecord
 from .solvers import (
     ResponseOracle,
     ResponseSolverConfig,
-    SolverError,
     interior_margin,
     solve_response,
 )
@@ -133,7 +132,8 @@ def compute_c_star(game: GameModel, objective: SocialObjective,
 
 @dataclass(frozen=True)
 class SublevelGeometry:
-    """Admissible incentive region used by the flow and the discrete gate."""
+    """Admissible incentive region used by the flow and the discrete gate.
+    Its runs share ``oracle``, which keeps no per-run state."""
 
     game: GameModel
     objective: SocialObjective
@@ -141,6 +141,19 @@ class SublevelGeometry:
     c_star: float
     c: float
     solver_cfg: ResponseSolverConfig = field(default_factory=ResponseSolverConfig)
+    oracle: ResponseOracle = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "oracle", ResponseOracle(self.game, self.solver_cfg))
+
+    def admit(self, p, warm=None, level: Optional[float] = None):
+        """(x, admitted) for one incentive (n,) or a stack (R, n).
+
+        Admitted means an interior response whose gap is at most ``level``
+        (default c); x is x*(p) wherever admitted. See ResponseOracle.
+        """
+        x, interior = self.oracle.response(p, warm)
+        return x, interior & (self.objective.gap(x) <= (self.c if level is None else level))
 
 
 def make_sublevel_geometry(game: GameModel, objective: SocialObjective,
@@ -190,17 +203,11 @@ def make_sublevel_geometry(game: GameModel, objective: SocialObjective,
 def in_sublevel_set(geom: SublevelGeometry, p, x0=None) -> bool:
     """Whether V(p) <= c with an interior response.
 
-    A solver failure raises rather than returning False, so callers can
-    distinguish "outside the set" from "could not decide".
+    A solver failure raises SolverError rather than returning False, so
+    callers can distinguish "outside the set" from "could not decide".
     """
     p = as_vector(p, dim=geom.game.dim, name="p")
-    res = solve_response(geom.game, p, geom.solver_cfg, x0=x0)
-    if not res.converged:
-        raise SolverError("response solve did not converge inside membership test",
-                          last_iterate=res.x_star)
-    if not res.interior:
-        return False
-    return geom.objective.gap(res.x_star) <= geom.c
+    return bool(geom.admit(p, x0)[1])
 
 
 def lyapunov_derivative(game: GameModel, objective: SocialObjective, p,
@@ -250,29 +257,6 @@ class FlowConfig:
             raise ValueError("record_every must be at least 1")
 
 
-class _FlowField:
-    """Vector field p -> grad Phi(x*(p)) over cached response solves."""
-
-    def __init__(self, geom: SublevelGeometry):
-        self.geom = geom
-        self.oracle = ResponseOracle(geom.game, geom.solver_cfg)
-        self.warm = None   # last response: the next solve's warm start
-
-    def response(self, p):
-        x, interior = self.oracle.response(p, self.warm)
-        self.warm = x
-        return x, interior
-
-    def __call__(self, p, t_at, p_valid):
-        x, interior = self.response(p)
-        if not interior:
-            raise FlowDomainError(
-                "integration step produced a boundary response",
-                t_last=t_at, p_last=p_valid,
-            )
-        return self.geom.objective.grad_phi(x)
-
-
 def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
                                    cfg: FlowConfig = FlowConfig()):
     """Integrate the incentive flow from p0 over [0, horizon_T].
@@ -284,19 +268,34 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
     """
     game = geom.game
     p = as_vector(p0, dim=game.dim, name="p0").copy()
-    if not in_sublevel_set(geom, p):
+    x_star, admitted = geom.admit(p)
+    if not admitted:
         raise ValueError("p0 lies outside the working sublevel set")
     dt = cfg.dt if cfg.dt is not None else 0.005 * game.monotonicity_m
     n_steps = max(1, int(round(cfg.horizon_T / dt)))
-    field = _FlowField(geom)
     record = FlowRecord(dim=game.dim)
+    warm = x_star   # the last response: the next solve's warm start
+
+    def response(p):
+        nonlocal warm
+        warm, interior = geom.oracle.response(p, warm)
+        return warm, interior
+
+    def field(p, t_at, p_valid):
+        """The vector field p -> grad Phi(x*(p))."""
+        x, interior = response(p)
+        if not interior:
+            raise FlowDomainError(
+                "integration step produced a boundary response",
+                t_last=t_at, p_last=p_valid,
+            )
+        return geom.objective.grad_phi(x)
 
     def sample(t, p_now, x_star):
         g = geom.objective.grad_phi(x_star)
         record.append(t, p_now, x_star, geom.objective.gap(x_star),
                       np.linalg.norm(g), np.linalg.norm(p_now - geom.p_dagger))
 
-    x_star, _ = field.response(p)
     sample(0.0, p, x_star)
     stopped_early = False
     t = 0.0
@@ -310,7 +309,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         else:
             p = p + dt * field(p, t, p)
         t = k * dt
-        x_star, interior = field.response(p)
+        x_star, interior = response(p)
         if not interior:
             raise FlowDomainError(
                 f"flow left the admissible set at t={t:.6g}",

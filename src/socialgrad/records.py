@@ -2,12 +2,13 @@
 
 CSV and JSON writers render every float with repr-faithful precision
 (%.17g) and a fixed column order, so reruns with the same seed produce
-byte-identical files.
+byte-identical files. Files are renamed into place once fully written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -22,12 +23,25 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path, header, rows):
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``. A failed write removes the temporary file and leaves
+    ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_default(obj):
@@ -39,10 +53,8 @@ def _json_default(obj):
 
 
 def write_json(path, payload) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    path.write_text(text + "\n", newline="\n")
+    _write_text(path, text + "\n")
 
 
 @dataclass
@@ -84,7 +96,7 @@ class FlowRecord:
             row += [fmt17(self.values[k]), fmt17(self.grad_norms[k]),
                     fmt17(self.dists_to_target[k])]
             rows.append(row)
-        _write_csv(path, self.header, rows)
+        write_csv(path, self.header, rows)
 
     def write_json(self, path, extra: Optional[dict] = None) -> None:
         payload = {
@@ -155,7 +167,7 @@ class TtsaRecord:
                     "1" if self.accepted_flags[k] else "0",
                     fmt17(self.xi_norms[k])]
             rows.append(row)
-        _write_csv(path, self.header, rows)
+        write_csv(path, self.header, rows)
 
     def acceptance_fraction(self, start: int = 0, stop: Optional[int] = None) -> float:
         if self.step_accepts is None or len(self.step_accepts) == 0:

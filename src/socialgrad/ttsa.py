@@ -30,7 +30,7 @@ import numpy as np
 from .flow import SublevelGeometry
 from .games import GameModel, as_vector, rowwise_matvec
 from .records import TtsaRecord
-from .solvers import ResponseOracle, ResponseSolverConfig, SolverError, solve_response
+from .solvers import ResponseSolverConfig, SolverError, solve_response
 
 __all__ = [
     "StepSchedule",
@@ -271,24 +271,22 @@ class _Engine:
     incentives) and Xstar (the responses at P); ``runs`` maps rows to the
     caller's run indices and ``warm`` holds each row's last computed
     response, the warm start of its next solve. A step applies the rule to
-    every row, asks the oracle once for the responses to every row's
+    every row, asks the gate once for the responses to every row's
     proposed incentive, and accepts or rejects row by row. No operation
     mixes rows, so a run's trajectory is the same alone and in any batch.
 
-    The oracle makes the per-step membership solve cheap: a cached-inverse
-    product for linear games (an out-of-box root certifies a boundary
-    equilibrium, so the candidate is inadmissible without solving further)
-    and a warm-started solve per row otherwise.
+    The gate, ``SublevelGeometry.admit``, makes the per-step solve cheap:
+    a cached-inverse product for linear games (an out-of-box root
+    certifies a boundary equilibrium, so the candidate is inadmissible
+    without solving further) and a warm-started solve per row otherwise.
     """
 
-    def __init__(self, geom: SublevelGeometry, level: float, rule: LearningRule,
-                 solver_cfg: Optional[ResponseSolverConfig] = None):
+    def __init__(self, geom: SublevelGeometry, level: float, rule: LearningRule):
+        self.geom = geom
         self.game = geom.game
         self.objective = geom.objective
         self.level = level
         self.rule = rule
-        cfg = solver_cfg if solver_cfg is not None else geom.solver_cfg
-        self.oracle = ResponseOracle(self.game, cfg)
 
     def start(self, X, P, runs):
         """Bind the runs' starts and drop those that fail.
@@ -341,24 +339,25 @@ class _Engine:
         return kept, failures
 
     def _admit(self, P, warm):
-        """Responses to each row of P and the gate's verdict on each row.
+        """Responses to each row of P, the gate's verdict on each row, and
+        {row: error} for the rows whose solve raised.
 
-        Membership in the working sublevel set: an interior response whose
-        gap is at most the level. A solve that raises fails only its own
-        row: the rows are solved again one by one to find it.
+        A solve that raises fails only its own row: the rows are solved
+        again one by one to find it.
         """
         errors = {}
         try:
-            X, interior = self.oracle.response(P, warm)
+            X, admitted = self.geom.admit(P, warm, self.level)
         except SolverError:
-            X, interior = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
+            X, admitted = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
             for r in range(len(P)):
                 row_warm = None if warm is None else warm[r:r + 1]
                 try:
-                    X[r:r + 1], interior[r:r + 1] = self.oracle.response(P[r:r + 1], row_warm)
+                    X[r:r + 1], admitted[r:r + 1] = self.geom.admit(P[r:r + 1], row_warm,
+                                                                    self.level)
                 except SolverError as exc:
                     errors[r] = exc
-        return X, interior & (self.objective.gap(X) <= self.level), errors
+        return X, admitted, errors
 
 
 def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:
@@ -368,8 +367,7 @@ def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:
     return level
 
 
-def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry,
-              solver_cfg: Optional[ResponseSolverConfig] = None):
+def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry):
     """One strategy-incentive update from state (x, p, k).
 
     Returns (x', p', indicator_accepted), one step of a one-run engine.
@@ -383,7 +381,7 @@ def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry,
     if not game.space.contains(x, margin=0.0):
         raise ValueError("x lies outside the strategy box")
     _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule, solver_cfg)
+    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule)
     failures = engine.start(x[None], p[None], [0])
     if not failures:
         accepted, failures = engine.step(cfg.schedule.a(int(k)), cfg.schedule.b(int(k)))
@@ -413,9 +411,7 @@ def _validated_starts(x0, p0, game: GameModel):
     return X0, P0, errors
 
 
-def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry,
-             solver_cfg: Optional[ResponseSolverConfig] = None,
-             schedules=None):
+def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
     """Iterate the two-timescale update for cfg.max_iter steps.
 
     One run takes x0 and p0 of shape (n,) and returns (record, summary),
@@ -443,7 +439,7 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry,
     if len(schedules) != R:
         raise ValueError(f"{len(schedules)} schedules for {R} runs")
     _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule, solver_cfg)
+    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule)
 
     # Step sizes per distinct schedule, indexed [k, schedule, 0] so that
     # a[k, group] is the (R, 1) column of the active rows.

@@ -497,3 +497,79 @@ def test_inline_spec_rejects_unknown_keys(tmp_path, capsys):
     })
     assert cli.main(["ttsa", "--config", cfg]) == 2
     assert "sed" in capsys.readouterr().err
+
+
+def test_flow_batch_builds_the_game_once_per_chunk(tmp_path, monkeypatch):
+    import socialgrad.experiments as experiments
+
+    calls = []
+    original = experiments.build_game_from_spec
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(experiments, "build_game_from_spec", counting)
+    _, summary = run_flow_batch(_flow_cfg(tmp_path / "f", n=4))
+    assert summary["failed"] == 0
+    assert len(calls) == 1
+
+
+def test_flow_run_bytes_independent_of_batch_and_jobs(tmp_path):
+    outs = []
+    for tag, extra in (("serial", {}), ("jobs2", {"jobs": 2})):
+        _, summary = run_flow_batch(_flow_cfg(tmp_path / tag, n=3, **extra))
+        assert summary["failed"] == 0
+        outs.append(tmp_path / tag)
+    cfg = _flow_cfg(tmp_path / "unused", n=3)
+    _, game, objective = resolve_instance(cfg)
+    geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction)
+    pairs = sample_initial_conditions(cfg, game, objective, geom)
+    for i in (0, 2):
+        x0, p0 = pairs[i]
+        alone = tmp_path / f"alone{i}"
+        run_flow_batch(_flow_cfg(alone, n=1, x0=x0.tolist(), p0=p0.tolist()))
+        solo = (alone / "flow_run_000.csv").read_bytes()
+        for out in outs:
+            assert (out / f"flow_run_{i:03d}.csv").read_bytes() == solo
+
+
+@pytest.mark.parametrize("preset", ["aggregative-5", "oscillator-2"])
+def test_run_spec_pickles_and_rebuilds_the_geometry(tmp_path, preset):
+    import pickle
+
+    from socialgrad import ResponseSolverConfig, load_preset
+    from socialgrad.experiments import RunSpec
+
+    bundle = load_preset(preset)
+    geom = make_sublevel_geometry(bundle.game, bundle.objective, c_frac=0.9)
+    spec = RunSpec(game=bundle.spec, x_dagger=bundle.objective.x_dagger,
+                   solver=ResponseSolverConfig(), c=geom.c, c_star=geom.c_star,
+                   out_dir=tmp_path)
+    rebuilt = pickle.loads(pickle.dumps(spec)).geometry()
+    assert rebuilt.c == geom.c
+    assert rebuilt.c_star == geom.c_star
+    assert np.array_equal(rebuilt.p_dagger, geom.p_dagger)
+
+
+_QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("ttsa", {"schedule": {"bogus": 1}}),
+    ("ttsa", {"schedule": {"a0": "big"}}),
+    ("ttsa", {"solver": {"bogus": 1}}),
+    ("ttsa", {"max_iter": 0}),
+    ("sweep", {"schedule": {"bogus": 1}}),
+    ("sweep", {"solver": {"bogus": 1}}),
+    ("sweep", {"record_every": 0}),
+    ("verify", {"schedule": {"bogus": 1}}),
+    ("verify", {"solver": {"bogus": 1}}),
+    ("flow", {"flow": {"bogus": 1}}),
+    ("flow", {"flow": {"dt": -1}}),
+])
+def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
+    cfg = _write_cfg(tmp_path / "c.json", dict(_QUICK, output_dir=str(tmp_path / "o"), **bad))
+    assert cli.main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

@@ -64,6 +64,18 @@ def test_membership(agg_geom99, osc_geom95):
     assert not in_sublevel_set(osc_geom95, np.array([10.0, 10.0]))
 
 
+def test_membership_rejects_out_of_box_root_without_solving(agg_geom99, monkeypatch):
+    # the linear root of p = 30*1 lies outside the box, which certifies a
+    # boundary response: no projected fixed point is needed to say no
+    import socialgrad.solvers as solvers
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("projected fixed point called")
+
+    monkeypatch.setattr(solvers, "_solve_pg_fixed_point", forbidden)
+    assert not in_sublevel_set(agg_geom99, np.full(5, 30.0))
+
+
 def test_lyapunov_derivative_signs(agg, agg_geom99, osc, osc_geom95,
                                    draw_admissible):
     for bundle, geom in ((agg, agg_geom99), (osc, osc_geom95)):

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from socialgrad import FlowRecord, TtsaRecord
-from socialgrad.records import fmt17
+from socialgrad.records import fmt17, write_csv
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -60,3 +62,22 @@ def test_acceptance_fraction_windows():
     assert rec.acceptance_fraction() == 0.5
     assert rec.acceptance_fraction(2) == 0.0
     assert rec.acceptance_fraction(0, 2) == 1.0
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [["1", "2"]])
+    original = Path.write_text
+
+    def half_then_fail(self, text, **kwargs):
+        original(self, text[: len(text) // 2], **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError):
+        write_csv(tmp_path / "new.csv", ["a", "b"], [["3", "4"]])
+    with pytest.raises(OSError):
+        write_csv(path, ["a", "b"], [["3", "4"]])
+    # no new file, no temporary file, and the old file whole
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"a,b\n1,2\n"
