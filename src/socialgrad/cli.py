@@ -10,7 +10,8 @@ Four subcommands, one per experiment family:
 Settings resolve in precedence order: command-line flags beat the JSON
 config file, which beats the preset's per-experiment defaults. Exit codes:
 0 success, 1 the experiment ran but something failed (run failures, failed
-verification checks), 2 invalid configuration or arguments.
+verification checks, a response solve that did not converge), 2 invalid
+configuration or arguments.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .experiments import (
     run_verify,
 )
 from .presets import PRESET_NAMES
+from .solvers import SolverError
 
 __all__ = ["main", "build_parser"]
 
@@ -153,6 +155,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .presets import PRESET_NAMES, build_game_from_spec, game_spec_from_dict, lo
 from .records import fmt17, write_csv, write_json
 from .solvers import (
     ResponseSolverConfig,
+    SolverError,
     interior_margin,
     response_jacobian_fd,
     solve_response,
@@ -499,6 +500,9 @@ def run_timescale_sweep(cfg: ExperimentConfig):
                 f"gamma={gamma} <= 0 gives b_exp <= a_exp; timescale "
                 "separation requires positive gamma"
             )
+    # validated once, so a bad schedule is a configuration error even when
+    # every gamma is skipped; each kept gamma swaps in its own b_exp
+    base = _typed(StepSchedule, cfg.schedule, "schedule", a_exp=cfg.a_exp_base, b_exp=1.0)
     run, geom = _prepare_batch(cfg)
     tcfg = _ttsa_config(cfg, geom.game)
     x0, p0 = _initial_conditions(cfg, geom)[0]
@@ -510,8 +514,7 @@ def run_timescale_sweep(cfg: ExperimentConfig):
             skipped.append(gamma)
             continue
         kept.append((gamma, b_exp))
-        items.append((i, _typed(StepSchedule, cfg.schedule, "schedule",
-                                a_exp=cfg.a_exp_base, b_exp=b_exp), x0, p0))
+        items.append((i, dataclasses.replace(base, b_exp=b_exp), x0, p0))
     results = _run_batch(run, tcfg, items, cfg.jobs)
 
     rows = []
@@ -580,7 +583,7 @@ def run_verify(cfg: ExperimentConfig):
         spec, game, objective = resolve_instance(cfg)
         geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction,
                                       solver_cfg=scfg)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, SolverError) as exc:
         report.append(_entry("construction", passed=False,
                              note=f"{type(exc).__name__}: {exc}"))
         write_json(out_dir / "verify_report.json", {"report": report, "passed": False})
@@ -588,12 +591,13 @@ def run_verify(cfg: ExperimentConfig):
     report.append(_entry("construction", passed=True, note=game.name))
     _echo_config(cfg, geom, out_dir)
 
-    density = 101 if game.dim <= 2 else 7
-    cert = certify_strong_monotonicity(game, grid_density=density)
+    cert = certify_strong_monotonicity(game, grid_density=101 if game.dim <= 2 else 7)
+    note = ("constant Jacobian: one exact eigensolve of Sym(M)" if cert.method == "eigensolve"
+            else f"grid density {cert.grid_density}; "
+                 f"worst point {np.round(cert.grid_worst_point, 4).tolist()}")
     report.append(_entry(
         "monotonicity-certificate", passed=cert.passed,
-        measured=cert.grid_min_eig, bound=0.5 * game.monotonicity_m,
-        note=f"grid density {density}; worst point {np.round(cert.grid_worst_point, 4).tolist()}",
+        measured=cert.grid_min_eig, bound=0.5 * game.monotonicity_m, note=note,
     ))
 
     downstream = ["response-round-trip", "response-lipschitz", "jacobian-sandwich",

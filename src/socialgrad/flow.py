@@ -96,18 +96,24 @@ def compute_c_star(game: GameModel, objective: SocialObjective,
                    grid_density: Optional[int] = None) -> float:
     """Boundary gap c* = min over the box boundary of Phi minus Phi(x_dagger).
 
-    Scans a grid on each of the 2n faces and refines the best point by
-    descent within the face. For the quadratic objective the exact value
-    is half the squared distance from x_dagger to the nearest face; the
-    analytic number is returned and the scan serves as a consistency check.
-    The default density adapts to dimension to keep the face grids small.
+    For the quadratic objective this is exactly half the squared distance
+    from x_dagger to the nearest face. Any other objective is scanned: a
+    grid on each of the 2n faces, the best point refined by descent within
+    its face. The default density adapts to dimension to keep the face
+    grids small. Raises ValueError unless x_dagger is a strict interior
+    minimizer.
     """
+    space = game.space
+    x_dag = objective.x_dagger
+    if objective.form == "quadratic":
+        dist = float(np.min(np.minimum(x_dag - space.lower, space.upper - x_dag)))
+        if dist <= 0:
+            raise ValueError("x_dagger must lie strictly inside the strategy box")
+        return 0.5 * dist * dist
     if grid_density is None:
         grid_density = 9 if game.dim <= 3 else 5
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
-    space = game.space
-    x_dag = objective.x_dagger
     best = np.inf
     for axis in range(game.dim):
         for value in (space.lower[axis], space.upper[axis]):
@@ -118,15 +124,6 @@ def compute_c_star(game: GameModel, objective: SocialObjective,
             "boundary minimum of the objective does not exceed the target value; "
             "x_dagger must be a strict interior minimizer"
         )
-    if objective.form == "quadratic":
-        dist = float(np.min(np.minimum(x_dag - space.lower, space.upper - x_dag)))
-        analytic = 0.5 * dist * dist
-        if abs(scanned - analytic) > 1e-6 * max(1.0, analytic):
-            raise RuntimeError(
-                f"face-scan boundary gap {scanned:.12g} disagrees with the "
-                f"analytic value {analytic:.12g} for a quadratic objective"
-            )
-        return analytic
     return float(scanned)
 
 
@@ -159,15 +156,14 @@ class SublevelGeometry:
 def make_sublevel_geometry(game: GameModel, objective: SocialObjective,
                            c_frac: float = 0.95, c: Optional[float] = None,
                            solver_cfg: Optional[ResponseSolverConfig] = None,
-                           grid_density: Optional[int] = None,
                            c_star: Optional[float] = None) -> SublevelGeometry:
     """Build the gate geometry around the target equilibrium.
 
     Checks that x_dagger is strictly interior and that the closed-loop
     incentive p_dagger = -g0(x_dagger) actually reproduces it, then fixes
     the working level c, either directly or as a fraction of c*. Passing a
-    previously computed ``c_star`` skips the boundary scan; batch runners
-    use this to avoid rescanning per worker.
+    previously computed ``c_star`` skips compute_c_star; batch runners use
+    this to avoid recomputing it per worker.
     """
     if solver_cfg is None:
         solver_cfg = ResponseSolverConfig()
@@ -185,7 +181,7 @@ def make_sublevel_geometry(game: GameModel, objective: SocialObjective,
             "game and objective are inconsistent"
         )
     if c_star is None:
-        c_star = compute_c_star(game, objective, grid_density=grid_density)
+        c_star = compute_c_star(game, objective)
     elif c_star <= 0:
         raise ValueError("c_star must be positive")
     if c is None:

@@ -573,3 +573,46 @@ def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     assert cli.main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_sweep_rejects_bad_schedule_when_every_gamma_is_skipped(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "s.json", {
+        "preset": "oscillator-2", "gammas": [0.5], "schedule": {"bogus": 1},
+        "output_dir": str(tmp_path / "so"),
+    })
+    assert cli.main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "bogus" in captured.err and "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["flow", "verify"])
+def test_cli_solver_failure_during_setup_exits_1(tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path / "c.json", {
+        "preset": "oscillator-2", "num_initial_conditions": 2,
+        "solver": {"method": "projected-gradient-fixed-point", "max_iter": 1},
+        "output_dir": str(tmp_path / "o"),
+    })
+    assert cli.main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if command == "flow":
+        assert captured.err.startswith("error: ")
+    else:
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert [e["name"] for e in report["report"]] == ["construction"]
+        assert report["report"][0]["passed"] is False
+        assert report["report"][0]["note"].startswith("SolverError")
+
+
+def test_cli_verify_inline_n8_game(tmp_path, capsys):
+    # the certificate and c* are closed forms for a linear game; a 7^8 grid
+    # would need more than 5.9 GB
+    cfg = _write_cfg(tmp_path / "n8.json", {
+        "game": {"kind": "aggregative", "n": 8}, "x_dagger": [0.1] * 8,
+        "output_dir": str(tmp_path / "v8"),
+    })
+    assert cli.main(["verify", "--config", cfg]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "v8" / "verify_report.json").read_text())
+    cert = [e for e in report["report"] if e["name"] == "monotonicity-certificate"][0]
+    assert cert["passed"] and "eigensolve" in cert["note"]

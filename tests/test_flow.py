@@ -29,6 +29,37 @@ def test_c_star_oscillator_analytic(osc):
     assert c == pytest.approx(0.5 * (np.pi / 3.0 - 0.5) ** 2, abs=1e-12)
 
 
+def _inline_instance(n, x_dagger):
+    from socialgrad.presets import build_game_from_spec, game_spec_from_dict
+
+    game = build_game_from_spec(game_spec_from_dict({"kind": "aggregative", "n": n}))
+    return game, quadratic_objective(np.array(x_dagger))
+
+
+@pytest.mark.parametrize("instance", ["agg", "osc", "inline-2", "inline-3"])
+def test_face_scan_agrees_with_analytic_c_star(request, instance):
+    # the generic face scan must find the quadratic objective's exact
+    # boundary gap, which compute_c_star returns without scanning
+    import dataclasses
+
+    if instance.startswith("inline"):
+        n = int(instance[-1])
+        game, objective = _inline_instance(n, [0.3, -0.7, 0.1][:n])
+    else:
+        bundle = request.getfixturevalue(instance)
+        game, objective = bundle.game, bundle.objective
+    analytic = compute_c_star(game, objective)
+    scanned = compute_c_star(game, dataclasses.replace(objective, form="generic"))
+    assert abs(scanned - analytic) <= 1e-6 * max(1.0, analytic)
+
+
+@pytest.mark.parametrize("x_dagger", [[2.0, 0.0], [0.0, -2.0], [2.5, 0.0]])
+def test_c_star_rejects_target_on_or_outside_the_box(x_dagger):
+    game, objective = _inline_instance(2, x_dagger)
+    with pytest.raises(ValueError, match="strictly inside"):
+        compute_c_star(game, objective)
+
+
 def test_geometry_roundtrip(agg_geom99, agg):
     # p_dagger = -g0(x_dagger) steers the response exactly onto the target
     from socialgrad import solve_response

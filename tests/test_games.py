@@ -100,6 +100,57 @@ def test_certificate_failure_is_reported(osc):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("density", [2, 3])
+def test_linear_certificate_equals_grid_scan(agg, density):
+    import dataclasses
+
+    exact = certify_strong_monotonicity(agg.game, grid_density=density)
+    grid = certify_strong_monotonicity(
+        dataclasses.replace(agg.game, linear_matrix=None), grid_density=density)
+    assert (exact.method, grid.method) == ("eigensolve", "grid")
+    assert exact.grid_min_eig == grid.grid_min_eig
+    assert exact.operator_norm_estimate == grid.operator_norm_estimate
+    assert exact.passed is grid.passed is True
+    assert exact.lip_jac_estimate == 0.0 and grid.lip_jac_estimate == 0.0
+    assert exact.grid_density == 1
+    assert np.array_equal(exact.grid_worst_point, agg.game.space.lower)
+
+
+@pytest.mark.parametrize("density", [41, 101])
+def test_grid_lipschitz_estimate_matches_pairwise_loop(osc, density):
+    # the pair-at-a-time reference the batched estimate must reproduce bit
+    # for bit: same pairs, same norms, same maximum
+    from socialgrad.games import _uniform_grid
+
+    pts = _uniform_grid(osc.game.space, density)
+    jacs = np.array([osc.game.jac_g0(x) for x in pts])
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    lip = 0.0
+    for _ in range(2000):
+        i, j = rng.integers(0, pts.shape[0], size=2)
+        gap = np.linalg.norm(pts[i] - pts[j])
+        if i != j and gap > 0:
+            lip = max(lip, np.linalg.norm(jacs[i] - jacs[j], 2) / gap)
+    rep = certify_strong_monotonicity(osc.game, grid_density=density)
+    assert rep.lip_jac_estimate == float(lip)
+
+
+def test_linear_certificate_memory_is_polynomial_in_n():
+    import tracemalloc
+
+    from socialgrad.presets import build_game_from_spec, game_spec_from_dict
+
+    game = build_game_from_spec(game_spec_from_dict({"kind": "aggregative", "n": 12}))
+    tracemalloc.start()
+    try:
+        rep = certify_strong_monotonicity(game, grid_density=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 1 << 20      # a 7^12-point grid would need terabytes
+
+
 def test_symmetry_check(agg, osc):
     assert symmetry_check(osc.game, samples=64)
     assert not symmetry_check(agg.game, samples=64)
