@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -282,14 +282,26 @@ def _result(idx: int, exc: Optional[Exception] = None, **fields) -> dict:
     return {"run_index": idx, "ok": True, "error": None, **fields}
 
 
-def _flow_run(run: RunSpec, geom, cfg: FlowConfig, idx: int, p0) -> dict:
+def _flow_runs(run: RunSpec, geom, cfg: FlowConfig, chunk) -> list:
+    """Integrate a chunk of (run index, p0) as one batch."""
+    runs, p0 = zip(*chunk)
     try:
-        record, summary = integrate_social_gradient_flow(geom, p0, cfg)
-        path = run.out_dir / f"flow_run_{idx:03d}.csv"
-        record.write_csv(path)
+        outcomes = integrate_social_gradient_flow(geom, np.array(p0, dtype=float), cfg)
     except Exception as exc:
-        return _result(idx, exc)
-    return _result(idx, summary=summary, csv=str(path), V0=record.values[0])
+        outcomes = [exc] * len(chunk)
+    results = []
+    for idx, outcome in zip(runs, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            record, summary = outcome
+            path = run.out_dir / f"flow_run_{idx:03d}.csv"
+            record.write_csv(path)
+        except Exception as exc:
+            results.append(_result(idx, exc))
+            continue
+        results.append(_result(idx, summary=summary, csv=str(path), V0=record.values[0]))
+    return results
 
 
 def _ttsa_runs(run: RunSpec, geom, cfg: TtsaConfig, chunk) -> list:
@@ -324,7 +336,8 @@ def _run_chunk(run: RunSpec, cfg, chunk: list) -> list:
     """One result per run of the chunk; the geometry is built once.
 
     A TtsaConfig steps the chunk's runs together through run_ttsa; a
-    FlowConfig integrates each run's p0 in turn.
+    FlowConfig integrates them together through
+    integrate_social_gradient_flow.
     """
     try:
         geom = run.geometry()
@@ -332,7 +345,21 @@ def _run_chunk(run: RunSpec, cfg, chunk: list) -> list:
         return [_result(item[0], exc) for item in chunk]
     if isinstance(cfg, TtsaConfig):
         return _ttsa_runs(run, geom, cfg, chunk)
-    return [_flow_run(run, geom, cfg, idx, p0) for idx, p0 in chunk]
+    return _flow_runs(run, geom, cfg, chunk)
+
+
+def _chunk_worker(conn, run: RunSpec, cfg, chunk: list) -> None:
+    """Worker process body: send the chunk's results through ``conn``.
+
+    An exception becomes a failed result for every run of the chunk, so
+    no traceback reaches the terminal.
+    """
+    try:
+        results = _run_chunk(run, cfg, chunk)
+    except Exception as exc:
+        results = [_result(item[0], exc) for item in chunk]
+    conn.send(results)
+    conn.close()
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -345,8 +372,11 @@ def _run_batch(run: RunSpec, cfg, items: list, jobs: int) -> list:
     """Results of the runs in ``items``, in order (see _run_chunk).
 
     Each item starts with its run index. The items are split into
-    contiguous chunks, one per worker process. Every run's output is
-    independent of the chunking, so ``jobs`` changes the wall time only.
+    contiguous chunks. One chunk runs in this process; several run in
+    one worker process each, so a worker that dies (killed, or out of
+    memory) fails only its own chunk's runs and the other chunks finish.
+    Every run's output is independent of the chunking, so ``jobs``
+    changes the wall time only.
     """
     if not items:
         return []
@@ -355,9 +385,27 @@ def _run_batch(run: RunSpec, cfg, items: list, jobs: int) -> list:
               for idx in np.array_split(np.arange(len(items)), workers)]
     if workers == 1:
         return _run_chunk(run, cfg, chunks[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(_run_chunk, [run] * workers, [cfg] * workers, chunks)
-        return [result for chunk in done for result in chunk]
+    ctx = multiprocessing.get_context()
+    started = []
+    for chunk in chunks:
+        receiver, sender = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_chunk_worker, args=(sender, run, cfg, chunk),
+                              daemon=True)
+        process.start()
+        sender.close()     # the worker holds the only write end: EOF when it dies
+        started.append((process, receiver, chunk))
+    results = []
+    for process, receiver, chunk in started:
+        with receiver:
+            try:
+                results.extend(receiver.recv())
+            except EOFError:
+                process.join()
+                error = f"worker process died, exit code {process.exitcode}"
+                results.extend({"run_index": item[0], "ok": False, "error": error}
+                               for item in chunk)
+        process.join()
+    return results
 
 
 def _batch_summary(experiment: str, results: list, **fields):
@@ -660,12 +708,13 @@ def run_verify(cfg: ExperimentConfig):
         note="finite-difference response Jacobians at 15 incentives",
     ))
 
-    # strict descent away from the target incentive, stationarity at it
+    # strict descent away from the target incentive, stationarity at it;
+    # a solve warm-started at its converged response returns it unchanged
     worst_val = -np.inf
-    for p in ps:
+    for p, xs in zip(ps, sols):
         if np.linalg.norm(p - geom.p_dagger) <= 1e-3:
             continue
-        worst_val = max(worst_val, lyapunov_derivative(game, objective, p, scfg))
+        worst_val = max(worst_val, lyapunov_derivative(game, objective, p, scfg, x0=xs))
     at_target = abs(lyapunov_derivative(game, objective, geom.p_dagger, scfg))
     ok = worst_val < -1e-12 and at_target <= 1e-12
     report.append(_entry(
@@ -679,8 +728,7 @@ def run_verify(cfg: ExperimentConfig):
     eta = game.monotonicity_m / (2.0 * game.operator_norm ** 2)
     rho = pg_contraction_factor(game, eta)
     worst = 0.0
-    for (x0, p) in pairs[:30]:
-        xs = solve_response(game, p, scfg).x_star
+    for (x0, p), xs in zip(pairs[:30], sols):
         d0 = float(np.linalg.norm(x0 - xs))
         if d0 < 1e-12:
             continue

@@ -17,12 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .games import GameModel, as_vector
+from .games import GameModel, as_vector, rowwise_dot
 from .objectives import SocialObjective
 from .records import FlowRecord
 from .solvers import (
     ResponseOracle,
     ResponseSolverConfig,
+    SolverError,
     interior_margin,
     solve_response,
 )
@@ -253,73 +254,33 @@ class FlowConfig:
             raise ValueError("record_every must be at least 1")
 
 
-def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
-                                   cfg: FlowConfig = FlowConfig()):
-    """Integrate the incentive flow from p0 over [0, horizon_T].
+def isolate_row_failures(solve, P, warm):
+    """``solve(P, warm)`` for an (R, n) stack, where a solve that raises
+    fails only its own row.
 
-    Requires p0 inside the working sublevel set. Returns the sampled
-    trajectory record and a summary dict. Raises FlowDomainError, with the
-    last valid state attached, if a step ever drives the response onto the
-    box boundary; with c < c* this indicates a too-large dt.
+    ``solve`` returns (X, mask) for a stack, as SublevelGeometry.admit and
+    ResponseOracle.response do. Returns (X, mask, {row: error}). When the
+    stack's solve raises SolverError, the rows are solved again one at a
+    time to find the rows that fail; their X is NaN and their mask False.
     """
-    game = geom.game
-    p = as_vector(p0, dim=game.dim, name="p0").copy()
-    x_star, admitted = geom.admit(p)
-    if not admitted:
-        raise ValueError("p0 lies outside the working sublevel set")
-    dt = cfg.dt if cfg.dt is not None else 0.005 * game.monotonicity_m
-    n_steps = max(1, int(round(cfg.horizon_T / dt)))
-    record = FlowRecord(dim=game.dim)
-    warm = x_star   # the last response: the next solve's warm start
+    try:
+        X, mask = solve(P, warm)
+        return X, mask, {}
+    except SolverError:
+        pass
+    X, mask, errors = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool), {}
+    for r in range(len(P)):
+        try:
+            X[r:r + 1], mask[r:r + 1] = solve(P[r:r + 1], None if warm is None else warm[r:r + 1])
+        except SolverError as exc:
+            errors[r] = exc
+    return X, mask, errors
 
-    def response(p):
-        nonlocal warm
-        warm, interior = geom.oracle.response(p, warm)
-        return warm, interior
 
-    def field(p, t_at, p_valid):
-        """The vector field p -> grad Phi(x*(p))."""
-        x, interior = response(p)
-        if not interior:
-            raise FlowDomainError(
-                "integration step produced a boundary response",
-                t_last=t_at, p_last=p_valid,
-            )
-        return geom.objective.grad_phi(x)
-
-    def sample(t, p_now, x_star):
-        g = geom.objective.grad_phi(x_star)
-        record.append(t, p_now, x_star, geom.objective.gap(x_star),
-                      np.linalg.norm(g), np.linalg.norm(p_now - geom.p_dagger))
-
-    sample(0.0, p, x_star)
-    stopped_early = False
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        if cfg.method == "rk4":
-            k1 = field(p, t, p)
-            k2 = field(p + 0.5 * dt * k1, t, p)
-            k3 = field(p + 0.5 * dt * k2, t, p)
-            k4 = field(p + dt * k3, t, p)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            p = p + dt * field(p, t, p)
-        t = k * dt
-        x_star, interior = response(p)
-        if not interior:
-            raise FlowDomainError(
-                f"flow left the admissible set at t={t:.6g}",
-                t_last=(k - 1) * dt, p_last=record.incentives[-1],
-            )
-        grad_norm = float(np.linalg.norm(geom.objective.grad_phi(x_star)))
-        if k % cfg.record_every == 0 or k == n_steps or grad_norm <= cfg.stop_tol:
-            sample(t, p, x_star)
-        if grad_norm <= cfg.stop_tol:
-            stopped_early = True
-            break
+def _finish(record: FlowRecord, geom: SublevelGeometry, dt: float, stopped_early: bool):
     if record.values and record.values[-1] > geom.c_star:
         warnings.warn("final value exceeds c*; trajectory left the certified region")
-    summary = {
+    return record, {
         "t_final": record.times[-1],
         "V_final": record.values[-1],
         "grad_norm_final": record.grad_norms[-1],
@@ -328,4 +289,119 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         "dt": dt,
         "stopped_early": stopped_early,
     }
-    return record, summary
+
+
+def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
+                                   cfg: FlowConfig = FlowConfig()):
+    """Integrate the incentive flow from p0 over [0, horizon_T].
+
+    One run takes p0 of shape (n,) and returns the sampled trajectory
+    record and a summary dict, raising if the run fails. A batch takes an
+    (R, n) stack, one run per row, integrates all R runs together and
+    returns one entry per run: (record, summary), or the exception that
+    stopped that run. No operation mixes rows, so each run's output is the
+    same alone and in any batch; a single run is the batch of one.
+
+    Each p0 must lie inside the working sublevel set (else ValueError). A
+    run fails with FlowDomainError, the last valid state attached, if a
+    step drives its response onto the box boundary (with c < c* this
+    indicates a too-large dt), and with SolverError if its response solve
+    fails. A run stops early once its social gradient falls to stop_tol.
+    """
+    single = np.ndim(p0) == 1
+    game, objective = geom.game, geom.objective
+    P0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    outcomes = {}
+    for r in range(len(P0)):
+        try:
+            as_vector(P0[r], dim=game.dim, name="p0")
+        except ValueError as exc:
+            outcomes[r] = exc
+    dt = cfg.dt if cfg.dt is not None else 0.005 * game.monotonicity_m
+    n_steps = max(1, int(round(cfg.horizon_T / dt)))
+    grad_phi, respond = objective.grad_phi, geom.oracle.response
+
+    runs = np.array([r for r in range(len(P0)) if r not in outcomes], dtype=int)
+    P = P0[runs]
+    X, admitted, errors = isolate_row_failures(geom.admit, P, None)
+    for row in np.flatnonzero(~admitted):
+        outcomes[int(runs[row])] = errors.get(
+            row, ValueError("p0 lies outside the working sublevel set"))
+    runs, P, warm = runs[admitted], P[admitted], X[admitted]
+    records = {int(run): FlowRecord(dim=game.dim) for run in runs}
+    failed = {}        # row -> the error that stops its run in the current step
+    t = 0.0
+
+    def sample(t, rows, P, X):
+        for row in rows:
+            x, p = X[row], P[row]
+            records[int(runs[row])].append(
+                t, p, x, objective.gap(x), np.linalg.norm(grad_phi(x)),
+                np.linalg.norm(p - geom.p_dagger))
+
+    def response(P_at):
+        """Responses at P_at of the rows still running, and the rows whose
+        response is on the boundary; solver failures go into ``failed``."""
+        nonlocal warm
+        if not failed:
+            X, interior, errors = isolate_row_failures(respond, P_at, warm)
+        else:
+            live = [row for row in range(len(runs)) if row not in failed]
+            X = np.full_like(P_at, np.nan)
+            interior = np.zeros(len(runs), dtype=bool)
+            X[live], interior[live], sub = isolate_row_failures(
+                respond, P_at[live], warm[live])
+            errors = {live[row]: exc for row, exc in sub.items()}
+        failed.update(errors)
+        warm = X
+        return X, [row for row in np.flatnonzero(~interior) if row not in failed]
+
+    def field(P_at):
+        """The vector field p -> grad Phi(x*(p)) at every row of P_at."""
+        X, boundary = response(P_at)
+        for row in boundary:
+            failed[row] = FlowDomainError("integration step produced a boundary response",
+                                          t_last=t, p_last=P[row])
+        return grad_phi(X)
+
+    sample(0.0, range(len(runs)), P, warm)
+    for k in range(1, n_steps + 1):
+        if not len(runs):
+            break
+        failed.clear()
+        if cfg.method == "rk4":
+            k1 = field(P)
+            k2 = field(P + 0.5 * dt * k1)
+            k3 = field(P + 0.5 * dt * k2)
+            k4 = field(P + dt * k3)
+            P_next = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            P_next = P + dt * field(P)
+        t = k * dt
+        X, boundary = response(P_next)
+        for row in boundary:
+            failed[row] = FlowDomainError(
+                f"flow left the admissible set at t={t:.6g}",
+                t_last=(k - 1) * dt, p_last=P[row])
+        G = grad_phi(X)
+        stop = np.sqrt(rowwise_dot(G, G)) <= cfg.stop_tol
+        stop[list(failed)] = False
+        recorded = (range(len(runs)) if k % cfg.record_every == 0 or k == n_steps
+                    else np.flatnonzero(stop))
+        sample(t, [row for row in recorded if row not in failed], P_next, X)
+        leave = stop.copy()
+        leave[list(failed)] = True
+        for row in np.flatnonzero(leave):
+            run = int(runs[row])
+            record = records.pop(run)
+            outcomes[run] = failed[row] if row in failed else _finish(record, geom, dt, True)
+        keep = ~leave
+        runs, P, warm = runs[keep], P_next[keep], X[keep]
+    for run, record in records.items():
+        outcomes[run] = _finish(record, geom, dt, False)
+    results = [outcomes[r] for r in range(len(P0))]
+    if single:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results

@@ -11,6 +11,7 @@ shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "as_vector",
     "project_box",
     "rowwise_matvec",
+    "rowwise_dot",
     "boundary_distance",
     "incentivized_pseudo_gradient",
     "certify_strong_monotonicity",
@@ -69,7 +71,7 @@ class BoxSpace:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
 
@@ -101,6 +103,17 @@ def rowwise_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,rj->ri", A, X)
 
 
+def rowwise_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x . y for every row pair of the (R, n) stacks X and Y, as R values.
+
+    Each value has the bits of the 1-D product ``x @ y``: the stacked
+    matmul runs the same dot kernel per row. A reduction along the last
+    axis (``(X * Y).sum(-1)``, ``np.linalg.norm(X, axis=-1)``) sums in
+    another order and differs in the last bit.
+    """
+    return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
+
+
 def boundary_distance(x, space: BoxSpace) -> float:
     """Distance from ``x`` to the nearest box face, min over coordinates.
 
@@ -118,15 +131,18 @@ def boundary_distance(x, space: BoxSpace) -> float:
 class GameModel:
     """A strongly monotone game over a box.
 
-    ``g0`` and ``jac_g0`` are callables x -> R^n and x -> R^{n x n}.
+    ``g0`` and ``jac_g0`` are callables x -> R^n and x -> R^{n x n}; both act
+    on the last axis, so an (R, n) stack of profiles gives R values, row r
+    the same as the call on row r alone.
     ``monotonicity_m`` is the certified constant: Sym(jac_g0(x)) >= (m/2) I
     for every x in the box. ``lip_L1`` bounds the Jacobian's Lipschitz
     constant in the spectral norm (0 for linear games).
 
     Optional structure, registered by the builders that can certify it:
 
-    - ``potential``: (x, p) -> real whose gradient is g0(x) + p; present only
-      when the Jacobian is symmetric everywhere.
+    - ``potential``: (x, p) -> real whose gradient is g0(x) + p, one value
+      per row of a stack; present only when the Jacobian is symmetric
+      everywhere.
     - ``linear_matrix``: M when g0(x) = M x, enabling closed-form responses.
     - ``br_structure``: (q, coupling) with g0(x) = diag(q) x + coupling @ x,
       enabling the per-agent best-response map -(p + coupling @ x) / q.
@@ -220,7 +236,7 @@ def certify_strong_monotonicity(game: GameModel, grid_density: int) -> Certifica
         )
 
     pts = _uniform_grid(game.space, grid_density)
-    jacs = np.array([game.jac_g0(x) for x in pts])
+    jacs = game.jac_g0(pts)
     sym = 0.5 * (jacs + np.transpose(jacs, (0, 2, 1)))
     min_eigs = np.linalg.eigvalsh(sym)[:, 0]
     worst = int(np.argmin(min_eigs))
@@ -256,9 +272,8 @@ def symmetry_check(game: GameModel, samples: int, seed: int = 0) -> bool:
     Gates registration of potential-based response solvers.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    for _ in range(samples):
-        x = rng.uniform(game.space.lower, game.space.upper)
-        j = game.jac_g0(x)
-        if np.max(np.abs(j - j.T)) > 1e-10:
-            return False
-    return True
+    # one draw of the whole stack yields the points of one draw per sample
+    pts = rng.uniform(game.space.lower, game.space.upper, size=(samples, game.dim))
+    jacs = game.jac_g0(pts)
+    asymmetry = np.max(np.abs(jacs - np.swapaxes(jacs, 1, 2)), axis=(1, 2))
+    return not bool(np.any(asymmetry > 1e-10))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import BoxSpace, GameModel, symmetry_check
+from .games import BoxSpace, GameModel, rowwise_matvec, symmetry_check
 from .objectives import SocialObjective, quadratic_objective
 
 __all__ = [
@@ -137,10 +137,12 @@ def build_aggregative(spec: AggregativeGameSpec) -> GameModel:
     coupling.setflags(write=False)
 
     def g0(x, _M=M):
-        return _M @ x
+        # one profile keeps the plain matvec; a stack takes the product
+        # whose rows do not depend on the stack height
+        return _M @ x if x.ndim == 1 else rowwise_matvec(_M, x)
 
     def jac_g0(x, _M=M):
-        return _M
+        return _M if x.ndim == 1 else np.broadcast_to(_M, x.shape[:-1] + _M.shape)
 
     return GameModel(
         dim=spec.n,
@@ -266,14 +268,26 @@ def build_oscillator(spec: OscillatorGameSpec) -> GameModel:
             "pass m_override to build anyway with an uncertified modulus"
         )
 
-    def g0(x, _t1=t1, _t2=t2):
-        s = math.sin(x[0] - x[1])
-        return np.array([_t1 * math.sin(x[0]) - s, _t2 * math.sin(x[1]) + s])
+    # Each coordinate is computed by the same operations, in the same
+    # order, as the scalar formulas, and np.sin/np.cos return the bits of
+    # math.sin/math.cos at every array length, so a stack's rows equal
+    # the one-profile calls.
+    theta = np.array([t1, t2])
+    coupling = np.array([-1.0, 1.0])   # a + (-s) has the bits of a - s
+
+    def g0(x, _theta=theta, _coupling=coupling):
+        s = np.sin(x[..., 0] - x[..., 1])
+        return _theta * np.sin(x) + s[..., None] * _coupling
 
     def jac_g0(x, _t1=t1, _t2=t2):
-        cd = math.cos(x[0] - x[1])
-        return np.array([[_t1 * math.cos(x[0]) - cd, cd],
-                         [cd, _t2 * math.cos(x[1]) - cd]])
+        cd = np.cos(x[..., 0] - x[..., 1])
+        c = np.cos(x)
+        jac = np.empty(x.shape + (2,))
+        jac[..., 0, 0] = _t1 * c[..., 0] - cd
+        jac[..., 0, 1] = cd
+        jac[..., 1, 0] = cd
+        jac[..., 1, 1] = _t2 * c[..., 1] - cd
+        return jac
 
     closed_norm = 0.5 * (t1 + t2) - 1.0 + math.sqrt((0.5 * (t2 - t1)) ** 2 + 1.0)
     grid_norm = _oscillator_grid_norm(spec.theta, space)
@@ -295,9 +309,12 @@ def build_oscillator(spec: OscillatorGameSpec) -> GameModel:
     )
 
     if symmetry_check(model, samples=128):
-        def potential(x, p, _t1=t1, _t2=t2):
-            return (-_t1 * math.cos(x[0]) - _t2 * math.cos(x[1])
-                    + math.cos(x[0] - x[1]) + p[0] * x[0] + p[1] * x[1])
+        def potential(x, p, _neg_theta=-theta):
+            # (-t1 c1) + (-t2 c2) has the bits of -t1 c1 - t2 c2
+            w = _neg_theta * np.cos(x)
+            px = p * x
+            return (w[..., 0] + w[..., 1] + np.cos(x[..., 0] - x[..., 1])
+                    + px[..., 0] + px[..., 1])
 
         model = replace(model, potential=potential)
     return model

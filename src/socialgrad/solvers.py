@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import BoxSpace, GameModel, as_vector, project_box, rowwise_matvec
+from .games import BoxSpace, GameModel, as_vector, rowwise_dot, rowwise_matvec
 
 __all__ = [
     "ResponseSolverConfig",
@@ -112,12 +112,14 @@ def _inner_step(game: GameModel, cfg: ResponseSolverConfig) -> float:
     return cfg.step_eta
 
 
-def _result(game: GameModel, x: np.ndarray, p: np.ndarray,
+def _result(game: GameModel, x: np.ndarray, grad: np.ndarray,
             iterations: int, converged: bool) -> ResponseResult:
-    residual = float(np.linalg.norm(game.g0(x) + p))
-    interior = game.space.contains(x, margin=interior_margin(game.space))
-    return ResponseResult(x_star=x, residual=residual, iterations=iterations,
-                          converged=converged, interior=interior)
+    """The result at x, given the incentivized gradient g0(x) + p there."""
+    space = game.space
+    margin = interior_margin(space)
+    interior = bool(((x >= space.lower + margin) & (x <= space.upper - margin)).all())
+    return ResponseResult(x_star=x, residual=float(np.linalg.norm(grad)),
+                          iterations=iterations, converged=converged, interior=interior)
 
 
 def solve_response_linear(M: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -133,34 +135,213 @@ def solve_response_linear(M: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise SolverError(f"linear response system is singular: {exc}") from exc
 
 
-def _solve_pg_fixed_point(game: GameModel, p: np.ndarray,
-                          cfg: ResponseSolverConfig,
-                          x0: Optional[np.ndarray]) -> ResponseResult:
+def _starts(game: GameModel, P: np.ndarray, X0) -> np.ndarray:
+    """The (R, n) starting iterates: X0 projected into the box, or the box
+    center for every row when X0 is None."""
+    if X0 is None:
+        X0 = np.broadcast_to(game.space.center, P.shape)
+    return _clip(X0, game.space)
+
+
+def _clip(X: np.ndarray, space: BoxSpace) -> np.ndarray:
+    """Componentwise projection onto the box; the values of np.clip
+    without its call overhead."""
+    return np.minimum(np.maximum(X, space.lower), space.upper)
+
+
+def _pg_fixed_points(game: GameModel, P: np.ndarray, cfg: ResponseSolverConfig,
+                     X0=None):
+    """The projected-gradient fixed point for every row of the (R, n) stack P.
+
+    Returns (X, G, iterations, converged) with one entry per row, G the
+    incentivized gradient g0(x) + p at the row's final x; a row stops at
+    the iteration where it converges. Raises SolverError if any row is
+    still iterating after cfg.max_iter iterations.
+    """
     eta = _inner_step(game, cfg)
-    x = project_box(x0 if x0 is not None else game.space.center, game.space)
-    margin = max(cfg.tol, interior_margin(game.space))
+    space = game.space
+    margin = max(cfg.tol, interior_margin(space))
+    lo_in, hi_in = space.lower + margin, space.upper - margin
+    X = _starts(game, P, X0)
+    G = np.empty_like(X)
+    iterations = np.zeros(len(P), dtype=int)
+    rows = np.arange(len(P))     # the rows still iterating
+    x, p = X, P
+    grad = game.g0(x) + p
     for it in range(1, cfg.max_iter + 1):
-        grad = game.g0(x) + p
-        x_next = project_box(x - eta * grad, game.space)
-        displacement = float(np.linalg.norm(x - x_next))
+        x_next = _clip(x - eta * grad, space)
+        move = x - x_next
+        displacement = np.sqrt(rowwise_dot(move, move))
         x = x_next
+        grad = game.g0(x) + p
         # Interior iterates converge on the stationarity residual; iterates
         # hugging a face converge on the fixed-point displacement instead.
-        if game.space.contains(x, margin=margin):
-            if float(np.linalg.norm(game.g0(x) + p)) <= cfg.tol:
-                return _result(game, x, p, it, converged=True)
-        elif displacement <= eta * cfg.tol:
-            return _result(game, x, p, it, converged=True)
+        inside = ((x >= lo_in) & (x <= hi_in)).all(axis=1)
+        done = np.where(inside, np.sqrt(rowwise_dot(grad, grad)) <= cfg.tol,
+                        displacement <= eta * cfg.tol)
+        if done.any():
+            X[rows[done]], G[rows[done]] = x[done], grad[done]
+            iterations[rows[done]] = it
+            keep = ~done
+            rows, x, p, grad = rows[keep], x[keep], p[keep], grad[keep]
+            if not len(rows):
+                return X, G, iterations, np.ones(len(P), dtype=bool)
     raise SolverError(
         f"projected-gradient fixed point not reached in {cfg.max_iter} iterations",
-        last_iterate=x,
+        last_iterate=x[0],
     )
 
 
-def _active_sets(x, grad, space, tol):
-    at_lo = (x <= space.lower + tol) & (grad > 0)
-    at_hi = (x >= space.upper - tol) & (grad < 0)
-    return at_lo, at_hi
+def _newton_steps(hess: np.ndarray, rhs: np.ndarray, free) -> np.ndarray:
+    """Newton steps on each row's free block, as an (R, n) stack.
+
+    ``free`` is the (R, n) mask of free coordinates, or None when every
+    coordinate is free. Pinned rows and columns of each Hessian are
+    replaced by the identity and their right-hand side is zero, so the
+    pinned coordinates do not move and the free block is solved as if it
+    stood alone. A singular free block falls back to the gradient step
+    ``rhs``.
+    """
+    if free is not None:
+        pair = free[:, :, None] & free[:, None, :]
+        hess = np.where(pair, hess, np.eye(hess.shape[-1]))
+    try:
+        return np.linalg.solve(hess, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = rhs.copy()
+        for r in range(len(rhs)):
+            try:
+                step[r] = np.linalg.solve(hess[r], rhs[r])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def _projected_newton(game: GameModel, P: np.ndarray, cfg: ResponseSolverConfig,
+                      X0=None):
+    """Minimize the potential over the box for every row of the (R, n)
+    stack P by projected Newton (Bertsekas 1982).
+
+    Each row keeps its own active set, stationarity test, Newton step on
+    its free coordinates and Armijo step on the projected arc; no
+    operation mixes rows, so a row's iterates are the same alone and in
+    any stack. Returns (X, G, iterations, converged) per row, as
+    _pg_fixed_points does; a row whose accepted step no longer moves it
+    stops unconverged. Raises SolverError if any row's line search fails
+    or any row is still iterating after cfg.max_iter iterations.
+    """
+    if game.potential is None:
+        raise SolverError("game has no registered potential; use another method")
+    space = game.space
+    pin_tol = 1e-12 * space.diameter
+    lo_pin, hi_pin = space.lower + pin_tol, space.upper - pin_tol
+    X = _starts(game, P, X0)
+    G = np.empty_like(X)
+    R = len(P)
+    iterations = np.zeros(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+    rows = np.arange(R)          # the rows still iterating
+    x, p = X, P
+    f = None                     # the potential at x, once computed
+    for it in range(1, cfg.max_iter + 1):
+        grad = game.g0(x) + p
+        # active box constraints: at a face with the gradient pushing out
+        near = (x <= lo_pin) | (x >= hi_pin)
+        if near.any():
+            free = ~(((x <= lo_pin) & (grad > 0)) | ((x >= hi_pin) & (grad < 0)))
+            free_grad = np.where(free, grad, 0.0)
+        else:
+            free, free_grad = None, grad
+        stationary = np.sqrt(rowwise_dot(free_grad, free_grad)) <= cfg.tol
+        if stationary.all():
+            X[rows], G[rows], iterations[rows], converged[rows] = x, grad, it, True
+            break
+        if stationary.any():
+            done = rows[stationary]
+            X[done], G[done] = x[stationary], grad[stationary]
+            iterations[done] = it
+            converged[done] = True
+            keep = ~stationary
+            rows, x, p = rows[keep], x[keep], p[keep]
+            grad, free_grad = grad[keep], free_grad[keep]
+            free = None if free is None else free[keep]
+            f = None if f is None else f[keep]
+        step = _newton_steps(game.jac_g0(x), -free_grad, free)
+        # Armijo backtracking on the projected arc; the Hessian is positive
+        # definite on the box so the full step passes almost always, and
+        # only the rows that fail it halve their step.
+        f0 = game.potential(x, p) if f is None else f
+        slope = rowwise_dot(grad, step)
+        x_new = _clip(x + step, space)
+        f = game.potential(x_new, p)
+        # Where the model decrease is below the floating-point resolution
+        # of the potential, a sufficient-decrease test would compare
+        # rounding noise. The bare Newton step is safe there: the step is
+        # tiny and the Hessian positive definite, so it contracts
+        # quadratically onto the minimizer.
+        accept = f <= f0 + 1e-4 * slope
+        if not accept.all():
+            accept |= np.abs(slope) <= 1e-12 * np.maximum(1.0, np.abs(f0))
+        if not accept.all():
+            search = np.flatnonzero(~accept)
+            t = np.ones(len(search))
+            for _ in range(59):
+                t *= 0.5
+                x_try = _clip(x[search] + t[:, None] * step[search], space)
+                f_try = game.potential(x_try, p[search])
+                ok = f_try <= f0[search] + 1e-4 * t * slope[search]
+                x_new[search[ok]] = x_try[ok]
+                f[search[ok]] = f_try[ok]
+                search, t = search[~ok], t[~ok]
+                if not len(search):
+                    break
+            else:
+                raise SolverError("potential line search failed",
+                                  last_iterate=x[search[0]])
+        # an accepted step that shrank below the resolution of x itself
+        stalled = (x_new == x).all(axis=1)
+        if stalled.any():
+            X[rows[stalled]], G[rows[stalled]] = x[stalled], grad[stalled]
+            iterations[rows[stalled]] = it
+            keep = ~stalled
+            rows, x_new, p, f = rows[keep], x_new[keep], p[keep], f[keep]
+            if not len(rows):
+                break
+        x = x_new
+    else:
+        raise SolverError(
+            f"projected Newton did not converge in {cfg.max_iter} iterations",
+            last_iterate=x[0],
+        )
+    return X, G, iterations, converged
+
+
+def _method(game: GameModel, cfg: ResponseSolverConfig) -> str:
+    """cfg.method, with "auto" resolved by the game's structure."""
+    method = cfg.method
+    if method == "auto":
+        if game.linear_matrix is not None:
+            return "closed-form-linear"
+        if game.potential is not None:
+            return "potential-minimization"
+        return "projected-gradient-fixed-point"
+    if method == "closed-form-linear" and game.linear_matrix is None:
+        raise SolverError("closed-form method requires a registered linear_matrix")
+    return method
+
+
+def _solve_one(solver, game: GameModel, p: np.ndarray, cfg: ResponseSolverConfig,
+               x0) -> ResponseResult:
+    """``solver`` on the one-row stack of p."""
+    X0 = None if x0 is None else as_vector(x0, dim=game.dim, name="x0")[None]
+    X, G, iterations, converged = solver(game, p[None], cfg, X0)
+    return _result(game, X[0], G[0], int(iterations[0]), bool(converged[0]))
+
+
+def _solve_pg_fixed_point(game: GameModel, p: np.ndarray,
+                          cfg: ResponseSolverConfig,
+                          x0: Optional[np.ndarray]) -> ResponseResult:
+    return _solve_one(_pg_fixed_points, game, p, cfg, x0)
 
 
 def solve_response_potential(game: GameModel, p: np.ndarray,
@@ -171,58 +352,11 @@ def solve_response_potential(game: GameModel, p: np.ndarray,
     Requires a symmetric-Jacobian game with a registered potential. Active
     box constraints are pinned, the Newton system is solved on the free
     coordinates, and an Armijo backtracking line search on the projected
-    path guarantees monotone decrease of the potential.
+    path guarantees monotone decrease of the potential. This is the
+    one-row case of the stacked solver the response oracle uses.
     """
-    if game.potential is None:
-        raise SolverError("game has no registered potential; use another method")
     p = as_vector(p, dim=game.dim, name="p")
-    x = project_box(x0 if x0 is not None else game.space.center, game.space)
-    pin_tol = 1e-12 * game.space.diameter
-    for it in range(1, cfg.max_iter + 1):
-        grad = game.g0(x) + p
-        at_lo, at_hi = _active_sets(x, grad, game.space, pin_tol)
-        free = ~(at_lo | at_hi)
-        stationary = float(np.linalg.norm(grad[free])) if np.any(free) else 0.0
-        if stationary <= cfg.tol:
-            return _result(game, x, p, it, converged=True)
-        hess = game.jac_g0(x)
-        step = np.zeros(game.dim)
-        hf = hess[np.ix_(free, free)]
-        try:
-            step[free] = np.linalg.solve(hf, -grad[free])
-        except np.linalg.LinAlgError:
-            step[free] = -grad[free]
-        # Backtracking on the projected arc; the Hessian is positive definite
-        # on the box so the full step is accepted almost always.
-        f0 = game.potential(x, p)
-        slope = float(grad @ step)
-        if abs(slope) <= 1e-12 * max(1.0, abs(f0)):
-            # The model decrease is below the floating-point resolution of
-            # the potential, so a sufficient-decrease test would compare
-            # rounding noise. The bare Newton step is safe here: the step is
-            # tiny and the Hessian positive definite, so it contracts
-            # quadratically onto the minimizer.
-            x_new = project_box(x + step, game.space)
-            if np.array_equal(x_new, x):
-                return _result(game, x, p, it, converged=stationary <= cfg.tol)
-            x = x_new
-            continue
-        t = 1.0
-        for _ in range(60):
-            x_try = project_box(x + t * step, game.space)
-            if game.potential(x_try, p) <= f0 + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            raise SolverError("potential line search failed", last_iterate=x)
-        if np.array_equal(x_try, x):
-            # accepted step shrank below the resolution of x itself
-            return _result(game, x, p, it, converged=stationary <= cfg.tol)
-        x = x_try
-    raise SolverError(
-        f"projected Newton did not converge in {cfg.max_iter} iterations",
-        last_iterate=x,
-    )
+    return _solve_one(_projected_newton, game, p, cfg, x0)
 
 
 def solve_response(game: GameModel, p, cfg: ResponseSolverConfig = ResponseSolverConfig(),
@@ -235,21 +369,11 @@ def solve_response(game: GameModel, p, cfg: ResponseSolverConfig = ResponseSolve
     test for the incentive domain).
     """
     p = as_vector(p, dim=game.dim, name="p")
-    method = cfg.method
-    if method == "auto":
-        if game.linear_matrix is not None:
-            method = "closed-form-linear"
-        elif game.potential is not None:
-            method = "potential-minimization"
-        else:
-            method = "projected-gradient-fixed-point"
-
+    method = _method(game, cfg)
     if method == "closed-form-linear":
-        if game.linear_matrix is None:
-            raise SolverError("closed-form method requires a registered linear_matrix")
         x = solve_response_linear(game.linear_matrix, p)
         if game.space.contains(x, margin=0.0):
-            return _result(game, x, p, iterations=1, converged=True)
+            return _result(game, x, game.g0(x) + p, iterations=1, converged=True)
         # Interior root lies outside the box: the equilibrium sits on the
         # boundary, found by the generic projected fixed-point iteration.
         return _solve_pg_fixed_point(game, p, cfg, x0)
@@ -265,8 +389,8 @@ class ResponseOracle:
     tens of thousands of times at slowly moving incentives. This wrapper
     caches the inverse system matrix for linear games (the interior
     response is then a single matvec, and an out-of-box root certifies a
-    boundary equilibrium without solving for it) and solves from a warm
-    start otherwise.
+    boundary equilibrium without solving for it) and otherwise solves
+    every row of a stack together, each from its own warm start.
 
     ``response(p, warm)`` takes one incentive of shape (n,) or a stack of
     shape (R, n), one row per run, and returns (x, interior) of the same
@@ -275,8 +399,8 @@ class ResponseOracle:
     the previous response; None starts from the box center. On the linear
     fast path a non-interior x is the unconstrained root, not the boundary
     equilibrium; callers that need boundary solutions should use
-    solve_response directly. A solve that does not converge raises
-    SolverError.
+    solve_response directly. A solve that does not converge in any row
+    raises SolverError.
     """
 
     def __init__(self, game: GameModel, cfg: Optional[ResponseSolverConfig] = None):
@@ -301,17 +425,15 @@ class ResponseOracle:
             # product whose rows do not depend on the stack height.
             x = -(self._minv @ p) if p.ndim == 1 else -rowwise_matvec(self._minv, p)
             return x, ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
-        ps = np.atleast_2d(p)
-        starts = [None] * len(ps) if warm is None else np.atleast_2d(warm)
-        x = np.empty_like(ps)
-        interior = np.empty(len(ps), dtype=bool)
-        for r, (p_r, start) in enumerate(zip(ps, starts)):
-            res = solve_response(self.game, p_r, self.cfg, x0=start)
-            if not res.converged:
-                raise SolverError("response solve did not converge",
-                                  last_iterate=res.x_star)
-            x[r] = res.x_star
-            interior[r] = res.interior
+        # a game without a linear_matrix resolves to an iterative method
+        solve = (_projected_newton if _method(self.game, self.cfg) == "potential-minimization"
+                 else _pg_fixed_points)
+        x, _, _, converged = solve(self.game, np.atleast_2d(p), self.cfg,
+                                   None if warm is None else np.atleast_2d(warm))
+        if not converged.all():
+            raise SolverError("response solve did not converge",
+                              last_iterate=x[np.argmin(converged)])
+        interior = ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
         if p.ndim == 1:
             return x[0], interior[0]
         return x, interior

@@ -27,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import SublevelGeometry
+from .flow import SublevelGeometry, isolate_row_failures
 from .games import GameModel, as_vector, rowwise_matvec
 from .records import TtsaRecord
-from .solvers import ResponseSolverConfig, SolverError, solve_response
+from .solvers import ResponseSolverConfig, solve_response
 
 __all__ = [
     "StepSchedule",
@@ -226,11 +226,7 @@ def _best_responses(game: GameModel, X, P) -> np.ndarray:
 
 def _pg_steps(game: GameModel, X, P, eta: float) -> np.ndarray:
     """The PG rule for every row of the (R, n) stacks X and P."""
-    if game.linear_matrix is not None:
-        G = rowwise_matvec(game.linear_matrix, X)
-    else:
-        G = np.array([game.g0(x) for x in X])
-    return np.clip(X - eta * (G + P), game.space.lower, game.space.upper)
+    return np.clip(X - eta * (game.g0(X) + P), game.space.lower, game.space.upper)
 
 
 def _check_rule(game: GameModel, rule: LearningRule):
@@ -278,7 +274,8 @@ class _Engine:
     The gate, ``SublevelGeometry.admit``, makes the per-step solve cheap:
     a cached-inverse product for linear games (an out-of-box root
     certifies a boundary equilibrium, so the candidate is inadmissible
-    without solving further) and a warm-started solve per row otherwise.
+    without solving further) and otherwise one stacked solve of every
+    row, each from its own warm start.
     """
 
     def __init__(self, geom: SublevelGeometry, level: float, rule: LearningRule):
@@ -342,22 +339,10 @@ class _Engine:
         """Responses to each row of P, the gate's verdict on each row, and
         {row: error} for the rows whose solve raised.
 
-        A solve that raises fails only its own row: the rows are solved
-        again one by one to find it.
+        A solve that raises fails only its own row (isolate_row_failures).
         """
-        errors = {}
-        try:
-            X, admitted = self.geom.admit(P, warm, self.level)
-        except SolverError:
-            X, admitted = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool)
-            for r in range(len(P)):
-                row_warm = None if warm is None else warm[r:r + 1]
-                try:
-                    X[r:r + 1], admitted[r:r + 1] = self.geom.admit(P[r:r + 1], row_warm,
-                                                                    self.level)
-                except SolverError as exc:
-                    errors[r] = exc
-        return X, admitted, errors
+        return isolate_row_failures(
+            lambda P, warm: self.geom.admit(P, warm, self.level), P, warm)
 
 
 def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:

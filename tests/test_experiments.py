@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -462,8 +464,6 @@ def test_sweep_point_bytes_independent_of_batch_and_jobs(tmp_path):
 
 
 def test_worker_count_is_bounded():
-    import os
-
     from socialgrad.experiments import worker_count
 
     cpus = os.cpu_count() or 1
@@ -515,23 +515,33 @@ def test_flow_batch_builds_the_game_once_per_chunk(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_flow_run_bytes_independent_of_batch_and_jobs(tmp_path):
+def _assert_flow_run_bytes_independent_of_batch_and_jobs(tmp_path, **extra_cfg):
     outs = []
     for tag, extra in (("serial", {}), ("jobs2", {"jobs": 2})):
-        _, summary = run_flow_batch(_flow_cfg(tmp_path / tag, n=3, **extra))
+        _, summary = run_flow_batch(_flow_cfg(tmp_path / tag, n=3, **extra, **extra_cfg))
         assert summary["failed"] == 0
         outs.append(tmp_path / tag)
-    cfg = _flow_cfg(tmp_path / "unused", n=3)
+    cfg = _flow_cfg(tmp_path / "unused", n=3, **extra_cfg)
     _, game, objective = resolve_instance(cfg)
     geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction)
     pairs = sample_initial_conditions(cfg, game, objective, geom)
     for i in (0, 2):
         x0, p0 = pairs[i]
         alone = tmp_path / f"alone{i}"
-        run_flow_batch(_flow_cfg(alone, n=1, x0=x0.tolist(), p0=p0.tolist()))
+        run_flow_batch(_flow_cfg(alone, n=1, x0=x0.tolist(), p0=p0.tolist(), **extra_cfg))
         solo = (alone / "flow_run_000.csv").read_bytes()
         for out in outs:
             assert (out / f"flow_run_{i:03d}.csv").read_bytes() == solo
+
+
+def test_flow_run_bytes_independent_of_batch_and_jobs(tmp_path):
+    _assert_flow_run_bytes_independent_of_batch_and_jobs(tmp_path)
+
+
+def test_oscillator_flow_run_bytes_independent_of_batch_and_jobs(tmp_path):
+    # every stage solves all rows by one stacked projected Newton
+    _assert_flow_run_bytes_independent_of_batch_and_jobs(
+        tmp_path, preset="oscillator-2", flow={"horizon_T": 0.2, "record_every": 20})
 
 
 @pytest.mark.parametrize("preset", ["aggregative-5", "oscillator-2"])
@@ -616,3 +626,61 @@ def test_cli_verify_inline_n8_game(tmp_path, capsys):
     report = json.loads((tmp_path / "v8" / "verify_report.json").read_text())
     cert = [e for e in report["report"] if e["name"] == "monotonicity-certificate"][0]
     assert cert["passed"] and "eigensolve" in cert["note"]
+
+
+# ---------------------------------------------------------------------------
+# worker processes: a dead or raising worker fails only its own chunk
+
+
+_two_forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="the injected fault reaches a worker only through a forked copy of "
+           "this process, and two chunks need two CPUs to run in two workers")
+
+
+def _faulty_chunks(monkeypatch, fault):
+    """Make the worker whose chunk holds run 0 call ``fault``."""
+    import socialgrad.experiments as experiments
+
+    original = experiments._run_chunk
+
+    def run_chunk(run, cfg, chunk):
+        if chunk[0][0] == 0:
+            fault()
+        return original(run, cfg, chunk)
+
+    monkeypatch.setattr(experiments, "_run_chunk", run_chunk)
+
+
+def _run_faulty_flow(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "f.json", {
+        "num_initial_conditions": 4, "seed": 5, "output_dir": str(tmp_path / "fo"),
+        "flow": {"horizon_T": 0.2, "record_every": 20},
+    })
+    code = cli.main(["flow", "--config", cfg, "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.out + captured.err
+    summary = json.loads((tmp_path / "fo" / "summary.json").read_text())
+    assert summary["runs"] == 4 and summary["failed"] == 2
+    assert [f["run_index"] for f in summary["failures"]] == [0, 1]
+    for i in (2, 3):
+        assert (tmp_path / "fo" / f"flow_run_{i:03d}.csv").exists()
+    return summary["failures"]
+
+
+@_two_forked_workers
+def test_dead_worker_fails_only_its_chunk(tmp_path, capsys, monkeypatch):
+    _faulty_chunks(monkeypatch, lambda: os._exit(3))
+    for failure in _run_faulty_flow(tmp_path, capsys):
+        assert failure["error"] == "worker process died, exit code 3"
+
+
+@_two_forked_workers
+def test_raising_worker_fails_only_its_chunk(tmp_path, capsys, monkeypatch):
+    def fault():
+        raise RuntimeError("injected worker fault")
+
+    _faulty_chunks(monkeypatch, fault)
+    for failure in _run_faulty_flow(tmp_path, capsys):
+        assert failure["error"] == "RuntimeError: injected worker fault"

@@ -179,3 +179,63 @@ def test_euler_matches_rk4_loosely(osc, osc_geom95):
     rec_rk, _ = integrate_social_gradient_flow(osc_geom95, p0, cfg_rk)
     rec_eu, _ = integrate_social_gradient_flow(osc_geom95, p0, cfg_eu)
     assert np.linalg.norm(rec_rk.incentives[-1] - rec_eu.incentives[-1]) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# a batch of flows: every row is a run of its own
+
+
+def _csv(record, path):
+    record.write_csv(path)
+    return path.read_bytes()
+
+
+def test_boundary_response_fails_only_its_flow_run(agg, agg_geom99, draw_admissible,
+                                                   monkeypatch, tmp_path):
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom99, 3, seed=4)
+    P0 = np.array([p for _, p in pairs])
+    cfg = FlowConfig(horizon_T=0.5, record_every=5)
+    solo = [integrate_social_gradient_flow(agg_geom99, p0, cfg)[0] for p0 in P0]
+    # run 1's incentive after step 25 is reported as a boundary response
+    steps, _ = integrate_social_gradient_flow(
+        agg_geom99, P0[1], FlowConfig(horizon_T=0.5, record_every=1))
+    doomed = steps.incentives[25]
+    original = agg_geom99.oracle.response
+
+    def response(p, warm=None):
+        x, interior = original(p, warm)
+        hit = (np.atleast_2d(p) == doomed).all(axis=1)
+        return x, interior & ~hit if np.ndim(p) == 2 else interior and not hit[0]
+
+    monkeypatch.setattr(agg_geom99.oracle, "response", response)
+    outcomes = integrate_social_gradient_flow(agg_geom99, P0, cfg)
+    assert isinstance(outcomes[1], FlowDomainError)
+    assert str(outcomes[1]).startswith("flow left the admissible set")
+    # the last valid state: the start of the step that left
+    assert outcomes[1].t_last == steps.times[24]
+    assert np.array_equal(outcomes[1].p_last, steps.incentives[24])
+    for i in (0, 2):
+        assert _csv(outcomes[i][0], tmp_path / "b.csv") == _csv(solo[i], tmp_path / "s.csv")
+
+
+def test_stop_tol_stops_one_row_while_the_others_continue(agg, agg_geom99,
+                                                         draw_admissible, tmp_path):
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom99, 2, seed=6)
+    P0 = np.array([pairs[0][1], agg_geom99.p_dagger, pairs[1][1]])
+    cfg = FlowConfig(horizon_T=0.5, record_every=5)
+    outcomes = integrate_social_gradient_flow(agg_geom99, P0, cfg)
+    record, summary = outcomes[1]
+    assert summary["stopped_early"] and summary["steps"] == 1 and len(record) == 2
+    for i, p0 in ((0, P0[0]), (2, P0[2])):
+        record, summary = outcomes[i]
+        assert not summary["stopped_early"]
+        solo, _ = integrate_social_gradient_flow(agg_geom99, p0, cfg)
+        assert _csv(record, tmp_path / "b.csv") == _csv(solo, tmp_path / "s.csv")
+
+
+def test_flow_batch_rejects_bad_starts_per_row(agg_geom99):
+    P0 = np.array([agg_geom99.p_dagger, np.full(5, 30.0), [np.nan] * 5])
+    outcomes = integrate_social_gradient_flow(agg_geom99, P0, FlowConfig(horizon_T=0.1))
+    assert isinstance(outcomes[0], tuple)
+    assert str(outcomes[1]) == "p0 lies outside the working sublevel set"
+    assert isinstance(outcomes[2], ValueError) and "non-finite" in str(outcomes[2])

@@ -156,6 +156,35 @@ def test_symmetry_check(agg, osc):
     assert not symmetry_check(agg.game, samples=64)
 
 
+def test_stacked_jacobians_equal_per_point_calls(osc):
+    # the certificate and the symmetry check evaluate the Jacobian on a
+    # whole stack; it must equal the per-point list, and the stacked draw
+    # must give the points of one draw per sample
+    from socialgrad.games import _uniform_grid
+
+    pts = _uniform_grid(osc.game.space, 101)
+    assert np.array_equal(osc.game.jac_g0(pts), np.array([osc.game.jac_g0(x) for x in pts]))
+    space = osc.game.space
+    one = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    stacked = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    assert np.array_equal(stacked.uniform(space.lower, space.upper, size=(128, 2)),
+                          np.array([one.uniform(space.lower, space.upper)
+                                    for _ in range(128)]))
+
+
+def test_symmetry_check_finds_one_asymmetric_point():
+    # asymmetric only where x_1 > 0.99: a few of 128 samples hit it
+    def jac(x):
+        j = np.zeros(np.shape(x)[:-1] + (2, 2))
+        j[..., 0, 1] = np.where(x[..., 0] > 0.99, 1.0, 0.0)
+        return j
+
+    game = GameModel(dim=2, space=box(-1.0, 1.0, 2), g0=lambda x: x, jac_g0=jac,
+                     monotonicity_m=1.0, lip_L1=0.0)
+    assert not symmetry_check(game, samples=128)
+    assert symmetry_check(game, samples=1)
+
+
 def test_game_model_rejects_bad_shapes():
     b = box(-1.0, 1.0, 2)
     with pytest.raises(ValueError):

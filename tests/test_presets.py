@@ -269,3 +269,35 @@ def test_preset_bundles_complete(agg, osc):
         assert set(bundle.defaults) == {"flow", "ttsa", "sweep", "verify"}
         assert bundle.objective.form == "quadratic"
         assert bundle.game.space.contains(bundle.objective.x_dagger)
+
+
+def test_game_callables_act_on_stacks(agg, osc):
+    # row r of a stacked call equals the one-profile call on row r, and the
+    # oscillator's array formulas give the bits of the scalar ones
+    import math
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
+    t1, t2 = osc.spec.theta
+    for game in (agg.game, osc.game):
+        X = rng.uniform(game.space.lower, game.space.upper, size=(33, game.dim))
+        P = rng.normal(size=(33, game.dim))
+        G, J = game.g0(X), game.jac_g0(X)
+        assert G.shape == X.shape and J.shape == (33, game.dim, game.dim)
+        for r in range(33):
+            assert np.array_equal(J[r], game.jac_g0(X[r]))
+            if game.linear_matrix is not None:
+                # the stack's matvec differs from M @ x in the last bit at most
+                assert np.allclose(G[r], game.g0(X[r]), rtol=1e-15, atol=1e-15)
+                assert np.array_equal(G[r], game.g0(X[r:r + 1])[0])
+                continue
+            x, p = X[r], P[r]
+            assert np.array_equal(G[r], game.g0(x))
+            assert game.potential(X, P)[r] == game.potential(x, p)
+            s = math.sin(x[0] - x[1])
+            assert np.array_equal(G[r], [t1 * math.sin(x[0]) - s, t2 * math.sin(x[1]) + s])
+            cd = math.cos(x[0] - x[1])
+            assert np.array_equal(J[r], [[t1 * math.cos(x[0]) - cd, cd],
+                                         [cd, t2 * math.cos(x[1]) - cd]])
+            assert game.potential(x, p) == (-t1 * math.cos(x[0]) - t2 * math.cos(x[1])
+                                            + math.cos(x[0] - x[1])
+                                            + p[0] * x[0] + p[1] * x[1])

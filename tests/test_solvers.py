@@ -151,3 +151,177 @@ def test_step_eta_guard(agg):
                                step_eta=2.0 * m / L**2)
     with pytest.raises(ValueError):
         solve_response(agg.game, np.zeros(5), cfg)
+
+
+# ---------------------------------------------------------------------------
+# the stacked solvers against the serial ones they replaced
+
+
+def serial_projected_newton(game, p, cfg, x0=None):
+    """Projected Newton on one incentive, written one row at a time.
+
+    The reference the stacked solver must reproduce bit for bit: returns
+    (x, iterations, converged, the number of halved steps tried).
+    """
+    lo, hi = game.space.lower, game.space.upper
+    x = np.clip(game.space.center if x0 is None else x0, lo, hi)
+    pin_tol = 1e-12 * game.space.diameter
+    halvings = 0
+    for it in range(1, cfg.max_iter + 1):
+        grad = game.g0(x) + p
+        free = ~(((x <= lo + pin_tol) & (grad > 0)) | ((x >= hi - pin_tol) & (grad < 0)))
+        stationary = float(np.linalg.norm(grad[free])) if np.any(free) else 0.0
+        if stationary <= cfg.tol:
+            return x, it, True, halvings
+        step = np.zeros(game.dim)
+        step[free] = np.linalg.solve(game.jac_g0(x)[np.ix_(free, free)], -grad[free])
+        f0 = game.potential(x, p)
+        slope = float(grad @ step)
+        if abs(slope) <= 1e-12 * max(1.0, abs(f0)):
+            x_new = np.clip(x + step, lo, hi)
+            if np.array_equal(x_new, x):
+                return x, it, False, halvings
+            x = x_new
+            continue
+        t = 1.0
+        for _ in range(60):
+            x_try = np.clip(x + t * step, lo, hi)
+            if game.potential(x_try, p) <= f0 + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            halvings += 1
+        else:
+            raise SolverError("potential line search failed")
+        if np.array_equal(x_try, x):
+            return x, it, False, halvings
+        x = x_try
+    raise SolverError("projected Newton did not converge")
+
+
+def serial_pg_fixed_point(game, p, cfg, x0=None):
+    """The projected-gradient fixed point on one incentive, one row at a
+    time: returns (x, iterations)."""
+    from socialgrad.solvers import _inner_step
+
+    eta = _inner_step(game, cfg)
+    lo, hi = game.space.lower, game.space.upper
+    x = np.clip(game.space.center if x0 is None else x0, lo, hi)
+    margin = max(cfg.tol, interior_margin(game.space))
+    for it in range(1, cfg.max_iter + 1):
+        x_next = np.clip(x - eta * (game.g0(x) + p), lo, hi)
+        displacement = float(np.linalg.norm(x - x_next))
+        x = x_next
+        if game.space.contains(x, margin=margin):
+            if float(np.linalg.norm(game.g0(x) + p)) <= cfg.tol:
+                return x, it
+        elif displacement <= eta * cfg.tol:
+            return x, it
+    raise SolverError("fixed point not reached")
+
+
+# (p, x0) pairs on oscillator-2 whose full Newton step fails the Armijo
+# test at least once, so the halving loop runs
+_HALVING_ROWS = [((-7.95, -6.76), (1.01, 0.97)), ((7.53, 2.67), (-0.74, -0.85)),
+                 ((2.57, 4.16), (0.98, -0.49))]
+
+
+def mixed_rows(game, count, seed=11):
+    """(P, X0): interior incentives warm-started near and far, cold starts
+    (NaN rows of X0 stand for None), incentives whose response is pinned
+    on one or two faces, and starts that need a halved step."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    lo, hi = game.space.lower, game.space.upper
+    P, X0 = [], []
+    pinned = [np.array([10.0, 10.0]), np.array([-10.0, 10.0]), np.array([4.0, -0.5])]
+    for r in range(count):
+        xbar = rng.uniform(0.8 * lo, 0.8 * hi)
+        kind = r % 5
+        if kind == 3:
+            p, start = pinned[r // 5 % 3], xbar
+        elif kind == 4:
+            p, start = map(np.array, _HALVING_ROWS[r // 5 % 3])
+        else:
+            p = -game.g0(xbar)
+            start = [xbar + rng.normal(scale=10.0 ** -rng.integers(1, 6), size=2),
+                     np.full(2, np.nan), rng.uniform(lo, hi)][kind]
+        P.append(p)
+        X0.append(start)
+    return np.array(P), np.array(X0)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 17])
+def test_stacked_newton_equals_serial_solver(osc, rows):
+    from socialgrad.solvers import _projected_newton
+
+    cfg = ResponseSolverConfig()
+    P, X0 = mixed_rows(osc.game, rows)
+    cold = np.isnan(X0).any(axis=1)
+    # cold rows start from the box center, as X0 = None does
+    X0[cold] = osc.game.space.center
+    X, G, iterations, converged = _projected_newton(osc.game, P, cfg, X0)
+    halvings = 0
+    for r in range(rows):
+        x, it, ok, halved = serial_projected_newton(osc.game, P[r], cfg,
+                                                    None if cold[r] else X0[r])
+        halvings += halved
+        assert np.array_equal(X[r], x) and iterations[r] == it and converged[r] == ok
+        assert np.array_equal(G[r], osc.game.g0(x) + P[r])
+        one = solve_response(osc.game, P[r], cfg, x0=None if cold[r] else X0[r])
+        assert np.array_equal(one.x_star, x) and one.iterations == it
+    if rows == 17:
+        # the stack holds rows pinned on a face, rows that stop at
+        # different iterations and rows whose full step fails Armijo
+        on_face = (X == osc.game.space.lower) | (X == osc.game.space.upper)
+        assert on_face.any(axis=1).sum() >= 3
+        assert len(set(iterations.tolist())) >= 3
+        assert halvings > 0
+
+
+def test_stacked_fixed_point_equals_serial_solver(osc):
+    from socialgrad.solvers import _pg_fixed_points
+
+    cfg = ResponseSolverConfig(method="projected-gradient-fixed-point")
+    P, X0 = mixed_rows(osc.game, 8, seed=3)
+    X0[np.isnan(X0).any(axis=1)] = osc.game.space.center
+    X, _, iterations, converged = _pg_fixed_points(osc.game, P, cfg, X0)
+    assert converged.all()
+    for r in range(len(P)):
+        x, it = serial_pg_fixed_point(osc.game, P[r], cfg, X0[r])
+        assert np.array_equal(X[r], x) and iterations[r] == it
+
+
+def test_oracle_stack_equals_one_row_calls(osc):
+    oracle = ResponseOracle(osc.game)
+    P, X0 = mixed_rows(osc.game, 9, seed=5)
+    X0[np.isnan(X0).any(axis=1)] = osc.game.space.center
+    X, interior = oracle.response(P, X0)
+    for r in range(len(P)):
+        x, inside = oracle.response(P[r], X0[r])
+        assert np.array_equal(X[r], x) and interior[r] == inside
+
+
+def test_warm_start_at_the_response_returns_it_unchanged(osc, rng):
+    for xbar in interior_points(osc.game, rng, 5, shrink=0.1):
+        p = -osc.game.g0(xbar)
+        cold = solve_response(osc.game, p)
+        warm = solve_response(osc.game, p, x0=cold.x_star)
+        assert np.array_equal(warm.x_star, cold.x_star) and warm.iterations == 1
+
+
+def test_non_converging_row_fails_only_its_ttsa_run(osc, tmp_path):
+    # five Newton iterations: a cold solve at p0 = (-3, -3) needs six, one
+    # near the box center needs four, and warm starts need fewer
+    from socialgrad import TtsaConfig, make_learning_rule, make_sublevel_geometry, run_ttsa
+
+    geom = make_sublevel_geometry(osc.game, osc.objective, c_frac=0.95,
+                                  solver_cfg=ResponseSolverConfig(max_iter=5))
+    cfg = TtsaConfig(rule=make_learning_rule(osc.game, "PG", eta=0.15),
+                     max_iter=300, record_every=50)
+    X0 = np.array([[0.0, -0.5], [0.0, -0.5]])
+    P0 = np.array([-osc.game.g0(np.array([0.2, 0.2])), [-3.0, -3.0]])
+    outcomes = run_ttsa(X0, P0, cfg, geom)
+    assert isinstance(outcomes[1], SolverError)
+    solo, _ = run_ttsa(X0[0], P0[0], cfg, geom)
+    outcomes[0][0].write_csv(tmp_path / "batch.csv")
+    solo.write_csv(tmp_path / "solo.csv")
+    assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()

@@ -366,14 +366,15 @@ def test_solver_failure_mid_run_fails_only_its_run(osc, osc_geom95, monkeypatch,
     j = solo[0].steps.index(50)
     doomed = (solo[0].incentives[j]
               + cfg.schedule.b(50) * osc.objective.grad_phi(solo[0].strategies[j]))
-    original = solvers.solve_response
+    original = solvers._projected_newton
 
-    def failing(game, p, *args, **kwargs):
-        if np.array_equal(p, doomed):
+    def failing(game, P, *args, **kwargs):
+        # the stacked solve fails whenever the doomed incentive is a row
+        if any(np.array_equal(p, doomed) for p in P):
             raise solvers.SolverError("injected failure")
-        return original(game, p, *args, **kwargs)
+        return original(game, P, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "solve_response", failing)
+    monkeypatch.setattr(solvers, "_projected_newton", failing)
     outcomes = run_ttsa(X0, P0, cfg, osc_geom95)
     assert isinstance(outcomes[0], solvers.SolverError)
     record, _ = outcomes[1]
@@ -393,14 +394,14 @@ def test_run_ttsa_rejects_mismatched_batches(agg, agg_geom80):
 def test_batch_solves_warm_start_per_row(osc, osc_geom95, monkeypatch):
     import socialgrad.solvers as solvers
 
-    cold = []
-    original = solvers.solve_response_potential
+    cold = []        # one entry per row solved: whether it started cold
+    original = solvers._projected_newton
 
-    def counting(game, p, cfg, x0=None):
-        cold.append(x0 is None)
-        return original(game, p, cfg, x0)
+    def counting(game, P, cfg, X0=None):
+        cold.extend([X0 is None] * len(P))
+        return original(game, P, cfg, X0)
 
-    monkeypatch.setattr(solvers, "solve_response_potential", counting)
+    monkeypatch.setattr(solvers, "_projected_newton", counting)
     cfg = make_cfg(osc.game, "PG", eta=0.15, max_iter=50, record_every=50)
     run_ttsa(np.array([[0.0, -0.5], [0.3, 0.2]]), np.array([[-3.0, -3.0], [-2.5, -2.8]]),
              cfg, osc_geom95)
