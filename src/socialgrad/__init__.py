@@ -9,28 +9,17 @@ assumptions behind both.
 from .flow import (
     FlowConfig,
     FlowDomainError,
-    SublevelGeometry,
     compute_c_star,
     in_sublevel_set,
     integrate_social_gradient_flow,
     lyapunov_derivative,
     make_sublevel_geometry,
 )
-from .games import (
-    BoxSpace,
-    CertificateReport,
-    GameModel,
-    boundary_distance,
-    certify_strong_monotonicity,
-    incentivized_pseudo_gradient,
-    project_box,
-    symmetry_check,
-)
+from .games import BoxSpace, GameModel, certify_strong_monotonicity, symmetry_check
 from .objectives import SocialObjective, quadratic_objective
 from .presets import (
     AggregativeGameSpec,
     OscillatorGameSpec,
-    PresetBundle,
     build_aggregative,
     build_game_from_spec,
     build_oscillator,
@@ -41,14 +30,12 @@ from .presets import (
 from .records import FlowRecord, TtsaRecord
 from .solvers import (
     ResponseOracle,
-    ResponseResult,
     ResponseSolverConfig,
     SolverError,
     response_jacobian_fd,
     solve_response,
 )
 from .ttsa import (
-    DiagnosticsSummary,
     LearningRule,
     StepSchedule,
     TtsaConfig,
@@ -59,8 +46,6 @@ from .ttsa import (
     make_learning_rule,
     pg_contraction_factor,
     run_ttsa,
-    tracking_diagnostics,
-    ttsa_step,
 )
 from .experiments import (
     ExperimentConfig,
@@ -78,8 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregativeGameSpec",
     "BoxSpace",
-    "CertificateReport",
-    "DiagnosticsSummary",
     "ExperimentConfig",
     "FlowConfig",
     "FlowDomainError",
@@ -87,17 +70,13 @@ __all__ = [
     "GameModel",
     "LearningRule",
     "OscillatorGameSpec",
-    "PresetBundle",
     "ResponseOracle",
-    "ResponseResult",
     "ResponseSolverConfig",
     "SocialObjective",
     "SolverError",
     "StepSchedule",
-    "SublevelGeometry",
     "TtsaConfig",
     "TtsaRecord",
-    "boundary_distance",
     "br_flow_rate",
     "build_aggregative",
     "build_game_from_spec",
@@ -107,7 +86,6 @@ __all__ = [
     "default_aggregative_spec",
     "gershgorin_scan",
     "in_sublevel_set",
-    "incentivized_pseudo_gradient",
     "integrate_social_gradient_flow",
     "learning_rule_br",
     "learning_rule_ne",
@@ -117,7 +95,6 @@ __all__ = [
     "make_learning_rule",
     "make_sublevel_geometry",
     "pg_contraction_factor",
-    "project_box",
     "quadratic_objective",
     "resolve_config",
     "resolve_instance",
@@ -130,7 +107,5 @@ __all__ = [
     "sample_initial_conditions",
     "solve_response",
     "symmetry_check",
-    "tracking_diagnostics",
-    "ttsa_step",
     "__version__",
 ]

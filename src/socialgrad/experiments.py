@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 _EXPERIMENTS = ("flow", "ttsa", "sweep", "verify")
+_INTEGER_FIELDS = ("num_initial_conditions", "max_iter", "record_every", "jobs", "seed")
+
+
+def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
+    """Whether ``value`` is an instance of ``kinds`` other than a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -98,6 +104,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"experiment must be one of {_EXPERIMENTS}")
+        for name in _INTEGER_FIELDS:
+            if not _is_number(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.gammas, list) or not all(map(_is_number, self.gammas)):
+            raise ValueError(f"gammas must be a list of numbers, got {self.gammas!r}")
+        eta = self.rule.get("eta") if isinstance(self.rule, dict) else None
+        if eta is not None and not _is_number(eta):
+            raise ValueError(f"rule eta must be a number, got {eta!r}")
         if not 0.0 < self.c_fraction < 1.0:
             raise ValueError("c_fraction must lie in (0, 1)")
         if self.num_initial_conditions < 1:
@@ -282,70 +296,53 @@ def _result(idx: int, exc: Optional[Exception] = None, **fields) -> dict:
     return {"run_index": idx, "ok": True, "error": None, **fields}
 
 
-def _flow_runs(run: RunSpec, geom, cfg: FlowConfig, chunk) -> list:
-    """Integrate a chunk of (run index, p0) as one batch."""
-    runs, p0 = zip(*chunk)
-    try:
-        outcomes = integrate_social_gradient_flow(geom, np.array(p0, dtype=float), cfg)
-    except Exception as exc:
-        outcomes = [exc] * len(chunk)
-    results = []
-    for idx, outcome in zip(runs, outcomes):
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            record, summary = outcome
-            path = run.out_dir / f"flow_run_{idx:03d}.csv"
-            record.write_csv(path)
-        except Exception as exc:
-            results.append(_result(idx, exc))
-            continue
-        results.append(_result(idx, summary=summary, csv=str(path), V0=record.values[0]))
-    return results
+def _write_flow_run(run: RunSpec, cfg: FlowConfig, item, record, summary) -> dict:
+    path = run.out_dir / f"flow_run_{item[0]:03d}.csv"
+    record.write_csv(path)
+    return {"summary": summary, "csv": str(path), "V0": record.values[0]}
 
 
-def _ttsa_runs(run: RunSpec, geom, cfg: TtsaConfig, chunk) -> list:
-    """Step a chunk of (run index, schedule, x0, p0) as one batch."""
-    runs, schedules, x0, p0 = zip(*chunk)
-    try:
-        outcomes = run_ttsa(np.array(x0, dtype=float), np.array(p0, dtype=float),
-                            cfg, geom, schedules=schedules)
-    except Exception as exc:
-        outcomes = [exc] * len(chunk)
-    results = []
-    for idx, schedule, outcome in zip(runs, schedules, outcomes):
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            record, summary = outcome
-            stem = run.out_dir / f"ttsa_run_{idx:03d}"
-            record.write_csv(stem.with_suffix(".csv"))
-            record.write_json(stem.with_suffix(".json"),
-                              config=dataclasses.replace(cfg, schedule=schedule).to_dict())
-        except Exception as exc:
-            results.append(_result(idx, exc))
-            continue
-        results.append(_result(idx, summary=summary, csv=str(stem.with_suffix(".csv")),
-                               steps=list(record.steps),
-                               tracking=list(record.tracking_errors),
-                               incentive=list(record.incentive_errors)))
-    return results
+def _write_ttsa_run(run: RunSpec, cfg: TtsaConfig, item, record, summary) -> dict:
+    idx, schedule = item[:2]
+    path = run.out_dir / f"ttsa_run_{idx:03d}.csv"
+    record.write_csv(path)
+    record.write_json(path.with_suffix(".json"),
+                      config=dataclasses.replace(cfg, schedule=schedule).to_dict())
+    return {"summary": summary, "csv": str(path), "steps": list(record.steps),
+            "tracking": list(record.tracking_errors),
+            "incentive": list(record.incentive_errors)}
 
 
 def _run_chunk(run: RunSpec, cfg, chunk: list) -> list:
     """One result per run of the chunk; the geometry is built once.
 
-    A TtsaConfig steps the chunk's runs together through run_ttsa; a
-    FlowConfig integrates them together through
-    integrate_social_gradient_flow.
+    A TtsaConfig steps the chunk's (run index, schedule, x0, p0) items
+    together through run_ttsa; a FlowConfig integrates its (run index, p0)
+    items together through integrate_social_gradient_flow. Each finished
+    run is then written; an error anywhere fails only the runs it reaches.
     """
+    ttsa = isinstance(cfg, TtsaConfig)
     try:
         geom = run.geometry()
+        if ttsa:
+            _, schedules, x0, p0 = zip(*chunk)
+            outcomes = run_ttsa(np.array(x0, dtype=float), np.array(p0, dtype=float),
+                                cfg, geom, schedules=schedules)
+        else:
+            p0 = np.array([item[1] for item in chunk], dtype=float)
+            outcomes = integrate_social_gradient_flow(geom, p0, cfg)
     except Exception as exc:
-        return [_result(item[0], exc) for item in chunk]
-    if isinstance(cfg, TtsaConfig):
-        return _ttsa_runs(run, geom, cfg, chunk)
-    return _flow_runs(run, geom, cfg, chunk)
+        outcomes = [exc] * len(chunk)
+    write = _write_ttsa_run if ttsa else _write_flow_run
+    results = []
+    for item, outcome in zip(chunk, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append(_result(item[0], **write(run, cfg, item, *outcome)))
+        except Exception as exc:
+            results.append(_result(item[0], exc))
+    return results
 
 
 def _chunk_worker(conn, run: RunSpec, cfg, chunk: list) -> None:

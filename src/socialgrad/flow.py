@@ -53,79 +53,23 @@ class FlowDomainError(RuntimeError):
         self.p_last = None if p_last is None else np.array(p_last, dtype=float)
 
 
-def _face_minimum(objective: SocialObjective, game: GameModel, axis: int,
-                  value: float, grid_density: int) -> float:
-    """Minimum of Phi over one box face, grid scan plus projected descent."""
-    space = game.space
-    n = game.dim
-    free = [i for i in range(n) if i != axis]
-    axes_1d = [np.linspace(space.lower[i], space.upper[i], grid_density) for i in free]
-    if free:
-        mesh = np.meshgrid(*axes_1d, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        pts = np.zeros((1, 0))
-    best_val = np.inf
-    best_x = None
-    for row in pts:
-        x = np.empty(n)
-        x[axis] = value
-        for j, i in enumerate(free):
-            x[i] = row[j]
-        v = objective.phi(x)
-        if v < best_val:
-            best_val = v
-            best_x = x
-    # Descend within the face from the best grid point; the face stays fixed
-    # in coordinate `axis`, the rest is projected gradient on the box.
-    x = best_x.copy()
-    step = 1.0 / objective.lip_L2
-    for _ in range(10_000):
-        g = objective.grad_phi(x)
-        g[axis] = 0.0
-        x_next = x - step * g
-        x_next = np.clip(x_next, space.lower, space.upper)
-        x_next[axis] = value
-        if np.linalg.norm(x_next - x) <= 1e-14 * (1.0 + np.linalg.norm(x)):
-            x = x_next
-            break
-        x = x_next
-    return min(best_val, float(objective.phi(x)))
-
-
-def compute_c_star(game: GameModel, objective: SocialObjective,
-                   grid_density: Optional[int] = None) -> float:
+def compute_c_star(game: GameModel, objective: SocialObjective) -> float:
     """Boundary gap c* = min over the box boundary of Phi minus Phi(x_dagger).
 
-    For the quadratic objective this is exactly half the squared distance
-    from x_dagger to the nearest face. Any other objective is scanned: a
-    grid on each of the 2n faces, the best point refined by descent within
-    its face. The default density adapts to dimension to keep the face
-    grids small. Raises ValueError unless x_dagger is a strict interior
-    minimizer.
+    For the quadratic objective, the one form a config can select, this is
+    exactly half the squared distance from x_dagger to the nearest face.
+    Raises ValueError for any other form, and unless x_dagger lies strictly
+    inside the box.
     """
+    if objective.form != "quadratic":
+        raise ValueError("c* is closed form only for the quadratic objective, "
+                         f"not {objective.form!r}")
     space = game.space
     x_dag = objective.x_dagger
-    if objective.form == "quadratic":
-        dist = float(np.min(np.minimum(x_dag - space.lower, space.upper - x_dag)))
-        if dist <= 0:
-            raise ValueError("x_dagger must lie strictly inside the strategy box")
-        return 0.5 * dist * dist
-    if grid_density is None:
-        grid_density = 9 if game.dim <= 3 else 5
-    if grid_density < 2:
-        raise ValueError("grid_density must be at least 2")
-    best = np.inf
-    for axis in range(game.dim):
-        for value in (space.lower[axis], space.upper[axis]):
-            best = min(best, _face_minimum(objective, game, axis, value, grid_density))
-    scanned = best - objective.phi(x_dag)
-    if scanned <= 0:
-        raise ValueError(
-            "boundary minimum of the objective does not exceed the target value; "
-            "x_dagger must be a strict interior minimizer"
-        )
-    return float(scanned)
+    dist = float(np.min(np.minimum(x_dag - space.lower, space.upper - x_dag)))
+    if dist <= 0:
+        raise ValueError("x_dagger must lie strictly inside the strategy box")
+    return 0.5 * dist * dist
 
 
 @dataclass(frozen=True)
@@ -250,7 +194,10 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
-        if self.record_every < 1:
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+            raise ValueError(f"record_every must be an integer, got {every!r}")
+        if every < 1:
             raise ValueError("record_every must be at least 1")
 
 

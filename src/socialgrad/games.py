@@ -21,11 +21,8 @@ __all__ = [
     "GameModel",
     "CertificateReport",
     "as_vector",
-    "project_box",
     "rowwise_matvec",
     "rowwise_dot",
-    "boundary_distance",
-    "incentivized_pseudo_gradient",
     "certify_strong_monotonicity",
     "symmetry_check",
 ]
@@ -86,12 +83,6 @@ class BoxSpace:
         )
 
 
-def project_box(x, space: BoxSpace) -> np.ndarray:
-    """Componentwise clamp of ``x`` into the box. Idempotent and 1-Lipschitz."""
-    x = as_vector(x, dim=space.dim, name="x")
-    return np.clip(x, space.lower, space.upper)
-
-
 def rowwise_matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A x for every row x of the (R, n) stack X, as an (R, m) stack.
 
@@ -112,19 +103,6 @@ def rowwise_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     another order and differs in the last bit.
     """
     return np.matmul(X[..., None, :], Y[..., :, None])[..., 0, 0]
-
-
-def boundary_distance(x, space: BoxSpace) -> float:
-    """Distance from ``x`` to the nearest box face, min over coordinates.
-
-    Zero iff ``x`` lies on the boundary. Raises if ``x`` is outside.
-    """
-    x = as_vector(x, dim=space.dim, name="x")
-    gaps = np.minimum(x - space.lower, space.upper - x)
-    d = float(np.min(gaps))
-    if d < 0:
-        raise ValueError("point lies outside the box")
-    return d
 
 
 @dataclass(frozen=True)
@@ -171,13 +149,6 @@ class GameModel:
             raise ValueError("monotonicity_m must be positive")
         if self.lip_L1 < 0:
             raise ValueError("lip_L1 must be nonnegative")
-
-
-def incentivized_pseudo_gradient(game: GameModel, x, p) -> np.ndarray:
-    """G0(x) + p, the pseudo-gradient of the incentivized game."""
-    x = as_vector(x, dim=game.dim, name="x")
-    p = as_vector(p, dim=game.dim, name="p")
-    return game.g0(x) + p
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ __all__ = ["SocialObjective", "quadratic_objective"]
 class SocialObjective:
     """Strongly convex social cost Phi with its gradient and minimizer.
 
-    ``mu_phi`` is the strong-convexity modulus, ``lip_L2`` the gradient
-    Lipschitz constant. ``x_dagger`` must be the unique minimizer and is
-    expected to lie strictly inside the strategy box (validated where the
-    geometry is assembled). ``form`` tags structure some consumers exploit:
-    "quadratic" means Phi(x) = 0.5 ||x - x_dagger||^2 exactly. ``phi`` and
+    ``x_dagger`` must be the unique minimizer and is expected to lie
+    strictly inside the strategy box (validated where the geometry is
+    assembled). ``form`` tags structure some consumers exploit: "quadratic"
+    means Phi(x) = 0.5 ||x - x_dagger||^2 exactly. ``phi`` and
     ``grad_phi`` act on the last axis, so an (R, n) stack of profiles gives
     one value, or one gradient, per row.
     """
@@ -28,16 +27,12 @@ class SocialObjective:
     phi: Callable[[np.ndarray], float]
     grad_phi: Callable[[np.ndarray], np.ndarray]
     x_dagger: np.ndarray
-    mu_phi: float
-    lip_L2: float
     form: str = "generic"
 
     def __post_init__(self):
         xd = as_vector(self.x_dagger, name="x_dagger")
         xd.flags.writeable = False
         object.__setattr__(self, "x_dagger", xd)
-        if self.mu_phi <= 0 or self.lip_L2 <= 0:
-            raise ValueError("mu_phi and lip_L2 must be positive")
         g = np.asarray(self.grad_phi(xd), dtype=float)
         if np.linalg.norm(g) > 1e-12:
             raise ValueError("grad_phi(x_dagger) must vanish")
@@ -63,7 +58,4 @@ def quadratic_objective(x_dagger) -> SocialObjective:
     def grad_phi(x):
         return np.asarray(x, dtype=float) - xd
 
-    return SocialObjective(
-        phi=phi, grad_phi=grad_phi, x_dagger=xd,
-        mu_phi=1.0, lip_L2=1.0, form="quadratic",
-    )
+    return SocialObjective(phi=phi, grad_phi=grad_phi, x_dagger=xd, form="quadratic")

@@ -32,8 +32,6 @@ __all__ = [
     "build_oscillator",
     "build_game_from_spec",
     "game_spec_from_dict",
-    "aggregative_agent_cost",
-    "oscillator_agent_cost",
     "gershgorin_row_bound",
     "gershgorin_scan",
     "PresetBundle",
@@ -157,17 +155,6 @@ def build_aggregative(spec: AggregativeGameSpec) -> GameModel:
         analytic_min_eig=lam_min,
         name=f"aggregative-{spec.n}",
     )
-
-
-def aggregative_agent_cost(spec: AggregativeGameSpec, i: int, x) -> float:
-    """Scalar cost of agent i.
-
-    The coupling term a x_i (W x)_i carries no 1/2: this is the convention
-    under which the partial derivative reproduces row i of (Q + aW) x,
-    the registered pseudo-gradient.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(0.5 * spec.q[i] * x[i] ** 2 + spec.a * x[i] * (spec.W[i] @ x))
 
 
 @dataclass(frozen=True)
@@ -318,11 +305,6 @@ def build_oscillator(spec: OscillatorGameSpec) -> GameModel:
 
         model = replace(model, potential=potential)
     return model
-
-
-def oscillator_agent_cost(theta, i: int, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(-theta[i] * math.cos(x[i]) + math.cos(x[0] - x[1]))
 
 
 def build_game_from_spec(spec) -> GameModel:

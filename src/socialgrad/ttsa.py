@@ -36,16 +36,13 @@ __all__ = [
     "StepSchedule",
     "LearningRule",
     "TtsaConfig",
-    "DiagnosticsSummary",
     "make_learning_rule",
     "learning_rule_ne",
     "learning_rule_br",
     "learning_rule_pg",
     "pg_contraction_factor",
     "br_flow_rate",
-    "ttsa_step",
     "run_ttsa",
-    "tracking_diagnostics",
 ]
 
 
@@ -352,32 +349,6 @@ def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:
     return level
 
 
-def ttsa_step(state, cfg: TtsaConfig, geom: SublevelGeometry):
-    """One strategy-incentive update from state (x, p, k).
-
-    Returns (x', p', indicator_accepted), one step of a one-run engine.
-    The strategy update is a convex combination so x' stays in the box
-    whenever f maps into it.
-    """
-    x, p, k = state
-    game = geom.game
-    x = as_vector(x, dim=game.dim, name="x")
-    p = as_vector(p, dim=game.dim, name="p")
-    if not game.space.contains(x, margin=0.0):
-        raise ValueError("x lies outside the strategy box")
-    _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule)
-    failures = engine.start(x[None], p[None], [0])
-    if not failures:
-        accepted, failures = engine.step(cfg.schedule.a(int(k)), cfg.schedule.b(int(k)))
-    if failures:
-        raise failures[0]
-    x_next, p_next = engine.X[0], engine.P[0]
-    if not game.space.contains(x_next, margin=0.0):
-        raise AssertionError("strategy update left the box; broken rule output")
-    return x_next, p_next, bool(accepted[0])
-
-
 def _validated_starts(x0, p0, game: GameModel):
     """(X0, P0, {run: error}) with the starts of R runs stacked as (R, n)."""
     X0 = np.atleast_2d(np.asarray(x0, dtype=float))
@@ -492,39 +463,3 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
             raise results[0]
         return results[0]
     return results
-
-
-@dataclass(frozen=True)
-class DiagnosticsSummary:
-    tail_tracking_mean: float
-    tail_incentive_mean: float
-    accepted_mass: float
-    monotone_tail: bool
-    tail_samples: int
-
-
-def tracking_diagnostics(rec: TtsaRecord) -> DiagnosticsSummary:
-    """Tail behavior of a finished run.
-
-    Tail means cover the final quarter of the recorded samples. The
-    monotone-tail flag checks whether the tracking-error envelope (per-bin
-    maxima over four bins of the last half) is nonincreasing.
-    """
-    n = len(rec)
-    if n == 0:
-        raise ValueError("empty record")
-    tail = max(1, n // 4)
-    tracking = np.asarray(rec.tracking_errors)
-    incentive = np.asarray(rec.incentive_errors)
-    half = tracking[n // 2:] if n >= 2 else tracking
-    bins = np.array_split(half, min(4, len(half)))
-    maxima = [float(np.max(b)) for b in bins if len(b)]
-    monotone = all(maxima[i + 1] <= maxima[i] * (1.0 + 1e-12) for i in range(len(maxima) - 1))
-    mass = rec.accepted_mass if rec.accepted_mass is not None else float("nan")
-    return DiagnosticsSummary(
-        tail_tracking_mean=float(np.mean(tracking[-tail:])),
-        tail_incentive_mean=float(np.mean(incentive[-tail:])),
-        accepted_mass=mass,
-        monotone_tail=bool(monotone),
-        tail_samples=tail,
-    )

@@ -1,12 +1,17 @@
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from socialgrad import (
     ExperimentConfig,
+    FlowConfig,
+    ResponseSolverConfig,
+    StepSchedule,
+    cli,
     in_sublevel_set,
     make_sublevel_geometry,
     resolve_config,
@@ -17,7 +22,7 @@ from socialgrad import (
     run_verify,
     sample_initial_conditions,
 )
-from socialgrad import cli
+from socialgrad.experiments import _rule, _typed
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +100,25 @@ def test_resolve_config_inline_game():
     })
     with pytest.raises(ValueError):
         resolve_instance(bare)
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_every_command_has_a_shipped_config():
+    assert {path.stem.split("_")[0] for path in CONFIGS} == {"flow", "ttsa", "sweep", "verify"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_resolves(path):
+    # the filename's first word names the command; settings are typed as
+    # the command types them, and nothing runs
+    cfg = resolve_config(path.stem.split("_")[0], json.loads(path.read_text()))
+    _, game, _ = resolve_instance(cfg)
+    _typed(StepSchedule, cfg.schedule, "schedule")
+    _typed(ResponseSolverConfig, cfg.solver, "solver")
+    _typed(FlowConfig, cfg.flow, "flow")
+    _rule(cfg, game)
 
 
 def test_resolve_config_rejects_bad_inputs():
@@ -577,6 +601,16 @@ _QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
     ("verify", {"solver": {"bogus": 1}}),
     ("flow", {"flow": {"bogus": 1}}),
     ("flow", {"flow": {"dt": -1}}),
+    ("sweep", {"gammas": ["a"]}),
+    ("sweep", {"gammas": 0.1}),
+    ("flow", {"num_initial_conditions": 2.0}),
+    ("flow", {"seed": 1.5}),
+    ("ttsa", {"rule": {"kind": "PG", "eta": "x"}}),
+    ("ttsa", {"max_iter": 1000.0}),
+    ("ttsa", {"record_every": 2.5}),
+    ("flow", {"flow": {"record_every": 2.5}}),
+    ("ttsa", {"jobs": 2.5}),
+    ("verify", {"seed": True}),
 ])
 def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     cfg = _write_cfg(tmp_path / "c.json", dict(_QUICK, output_dir=str(tmp_path / "o"), **bad))

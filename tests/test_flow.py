@@ -38,19 +38,36 @@ def _inline_instance(n, x_dagger):
 
 @pytest.mark.parametrize("instance", ["agg", "osc", "inline-2", "inline-3"])
 def test_face_scan_agrees_with_analytic_c_star(request, instance):
-    # the generic face scan must find the quadratic objective's exact
-    # boundary gap, which compute_c_star returns without scanning
-    import dataclasses
-
+    # A reference scan of the 2n faces. On a face the quadratic gap is
+    # smallest at x_dagger with the face's coordinate moved onto it, so
+    # compute_c_star must return the least of those 2n values, and no other
+    # point of a face may fall below that face's value.
     if instance.startswith("inline"):
         n = int(instance[-1])
         game, objective = _inline_instance(n, [0.3, -0.7, 0.1][:n])
     else:
         bundle = request.getfixturevalue(instance)
         game, objective = bundle.game, bundle.objective
-    analytic = compute_c_star(game, objective)
-    scanned = compute_c_star(game, dataclasses.replace(objective, form="generic"))
-    assert abs(scanned - analytic) <= 1e-6 * max(1.0, analytic)
+    space, x_dag = game.space, objective.x_dagger
+    rng = np.random.default_rng(7)
+    face_values = []
+    for axis in range(game.dim):
+        for value in (space.lower[axis], space.upper[axis]):
+            foot = x_dag.copy()
+            foot[axis] = value
+            face_values.append(objective.gap(foot))
+            points = rng.uniform(space.lower, space.upper, size=(500, game.dim))
+            points[:, axis] = value
+            assert np.min(objective.gap(points)) >= face_values[-1] - 1e-12
+    assert compute_c_star(game, objective) == pytest.approx(min(face_values), abs=1e-12)
+
+
+def test_c_star_rejects_other_objective_forms(agg):
+    import dataclasses
+
+    generic = dataclasses.replace(agg.objective, form="generic")
+    with pytest.raises(ValueError, match="quadratic"):
+        compute_c_star(agg.game, generic)
 
 
 @pytest.mark.parametrize("x_dagger", [[2.0, 0.0], [0.0, -2.0], [2.5, 0.0]])

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from socialgrad import (
     BoxSpace,
     GameModel,
-    boundary_distance,
     certify_strong_monotonicity,
-    incentivized_pseudo_gradient,
-    project_box,
     symmetry_check,
 )
 from socialgrad.games import as_vector
@@ -42,37 +36,6 @@ def test_as_vector_dim_check():
         as_vector([1.0, 2.0], dim=3, name="probe")
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0]], dim=2, name="probe")
-
-
-finite_vec = arrays(np.float64, 3,
-                    elements=st.floats(-50, 50, allow_nan=False))
-
-
-@given(finite_vec)
-def test_projection_lands_in_box(x):
-    b = box(-1.0, 1.5, 3)
-    y = project_box(x, b)
-    assert b.contains(y)
-    # projecting twice changes nothing
-    assert np.array_equal(project_box(y, b), y)
-    # points already inside are fixed points
-    if b.contains(x):
-        assert np.array_equal(y, np.asarray(x, dtype=float))
-
-
-def test_boundary_distance_values():
-    b = box(-2.0, 2.0, 2)
-    assert boundary_distance(np.array([0.0, 0.0]), b) == pytest.approx(2.0)
-    assert boundary_distance(np.array([1.5, 0.0]), b) == pytest.approx(0.5)
-    assert boundary_distance(np.array([2.0, 0.0]), b) == pytest.approx(0.0)
-
-
-def test_incentivized_pseudo_gradient_is_sum(agg, rng):
-    x = rng.uniform(-2.0, 2.0, 5)
-    p = rng.normal(size=5)
-    expected = agg.game.g0(x) + p
-    assert np.allclose(incentivized_pseudo_gradient(agg.game, x, p), expected,
-                       rtol=0.0, atol=0.0)
 
 
 def test_certificate_constant_jacobian(agg):

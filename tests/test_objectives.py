@@ -13,7 +13,6 @@ def test_quadratic_values():
     assert obj.gap(np.array([1.5, -0.5])) == pytest.approx(0.5)
     assert np.array_equal(obj.grad_phi(np.array([1.0, 0.0])),
                           np.array([0.5, 0.5]))
-    assert obj.mu_phi == 1.0 and obj.lip_L2 == 1.0
     assert obj.form == "quadratic"
 
 
@@ -31,6 +30,4 @@ def test_gradient_must_vanish_at_target():
             phi=lambda x: float(x @ x),
             grad_phi=lambda x: 2.0 * x + 1.0,
             x_dagger=np.zeros(2),
-            mu_phi=2.0,
-            lip_L2=2.0,
         )

@@ -11,14 +11,23 @@ from socialgrad import (
     gershgorin_scan,
     load_preset,
 )
-from socialgrad.presets import (
-    aggregative_agent_cost,
-    game_spec_from_dict,
-    gershgorin_row_bound,
-    oscillator_agent_cost,
-)
+from socialgrad.presets import game_spec_from_dict, gershgorin_row_bound
 
 THETA = (4.2, 5.0)
+
+
+# Scalar agent costs: the derivative of agent i's cost in its own
+# coordinate must be row i of the registered g0.
+def aggregative_agent_cost(spec: AggregativeGameSpec, i: int, x) -> float:
+    """0.5 q_i x_i^2 + a x_i (W x)_i; the coupling term carries no 1/2."""
+    x = np.asarray(x, dtype=float)
+    return float(0.5 * spec.q[i] * x[i] ** 2 + spec.a * x[i] * (spec.W[i] @ x))
+
+
+def oscillator_agent_cost(theta, i: int, x) -> float:
+    """-theta_i cos(x_i) + cos(x_1 - x_2)."""
+    x = np.asarray(x, dtype=float)
+    return float(-theta[i] * np.cos(x[i]) + np.cos(x[0] - x[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from socialgrad import (
     pg_contraction_factor,
     run_ttsa,
     solve_response,
-    tracking_diagnostics,
-    ttsa_step,
 )
 
 
@@ -158,30 +156,24 @@ def make_cfg(game, kind="NE", eta=None, **kw):
 
 
 def test_null_step_at_optimum(agg, agg_geom80):
+    # one step from (x_dagger, p_dagger) changes neither
     x_dag = agg.objective.x_dagger
     p_dag = agg_geom80.p_dagger
     for kind in ("NE", "BR"):
-        cfg = make_cfg(agg.game, kind)
-        x1, p1, accepted = ttsa_step((x_dag, p_dag, 0), cfg, agg_geom80)
-        assert accepted
-        assert np.linalg.norm(x1 - x_dag) <= 1e-12
-        assert np.array_equal(p1, p_dag)
+        cfg = make_cfg(agg.game, kind, max_iter=1)
+        rec, _ = run_ttsa(x_dag, p_dag, cfg, agg_geom80)
+        assert rec.steps == [0, 1]
+        assert rec.step_accepts[0]
+        assert np.linalg.norm(rec.strategies[-1] - x_dag) <= 1e-12
+        assert np.array_equal(rec.incentives[-1], p_dag)
 
 
 def test_step_containment(agg, agg_geom80, rng):
-    cfg = make_cfg(agg.game, "PG", eta=0.1)
+    cfg = make_cfg(agg.game, "PG", eta=0.1, max_iter=1)
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, 5)
-        x1, p1, _ = ttsa_step((x, agg_geom80.p_dagger, 0), cfg, agg_geom80)
-        assert agg.game.space.contains(x1)
-
-
-def test_step_input_validation(agg, agg_geom80):
-    cfg = make_cfg(agg.game)
-    with pytest.raises(ValueError):
-        ttsa_step((np.full(5, 3.0), agg_geom80.p_dagger, 0), cfg, agg_geom80)
-    with pytest.raises(ValueError):
-        ttsa_step((np.zeros(5), np.full(5, 30.0), 0), cfg, agg_geom80)
+        rec, _ = run_ttsa(x, agg_geom80.p_dagger, cfg, agg_geom80)
+        assert agg.game.space.contains(rec.strategies[-1])
 
 
 def test_run_rejects_bad_level(agg, agg_geom80):
@@ -248,17 +240,6 @@ def test_run_is_deterministic(agg, agg_geom80, draw_admissible):
     assert np.array_equal(np.asarray(rec1.incentives), np.asarray(rec2.incentives))
     assert np.array_equal(np.asarray(rec1.strategies), np.asarray(rec2.strategies))
     assert rec1.tracking_errors == rec2.tracking_errors
-
-
-def test_tracking_diagnostics(agg, agg_geom80, draw_admissible):
-    x0, p0 = draw_admissible(agg.game, agg.objective, agg_geom80, 1)[0]
-    cfg = make_cfg(agg.game, max_iter=20_000, record_every=100)
-    rec, summary = run_ttsa(x0, p0, cfg, agg_geom80)
-    diag = tracking_diagnostics(rec)
-    assert diag.monotone_tail
-    assert diag.accepted_mass == pytest.approx(summary["accepted_mass"])
-    assert diag.tail_tracking_mean <= np.mean(rec.tracking_errors)
-    assert diag.tail_samples >= 1
 
 
 def test_config_to_dict_roundtrip(agg):
