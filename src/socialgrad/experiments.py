@@ -109,7 +109,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.gammas, list) or not all(map(_is_number, self.gammas)):
             raise ValueError(f"gammas must be a list of numbers, got {self.gammas!r}")
-        eta = self.rule.get("eta") if isinstance(self.rule, dict) else None
+        if not _is_number(self.a_exp_base):
+            raise ValueError(f"a_exp_base must be a number, got {self.a_exp_base!r}")
+        if not isinstance(self.rule, dict):
+            raise ValueError(f"rule must be a mapping, got {self.rule!r}")
+        eta = self.rule.get("eta")
         if eta is not None and not _is_number(eta):
             raise ValueError(f"rule eta must be a number, got {eta!r}")
         if not 0.0 < self.c_fraction < 1.0:
@@ -228,33 +232,48 @@ def sample_initial_conditions(cfg: ExperimentConfig, game: GameModel,
     """Seeded (x0, p0) pairs, one independent generator stream per run.
 
     x_bar is drawn uniformly from the x-space sublevel region
-    {x strictly inside X : Phi(x) - Phi(x_dagger) < c} by rejection over
-    the box, and p0 = -g0(x_bar) so that the response at p0 is exactly
-    x_bar and p0 lies inside the working sublevel set by construction.
-    x0 is uniform over the interior of the box. Sampling is uniform in
-    x-space; its pushforward through -g0 is not uniform over the incentive
-    set, which is accepted and documented.
+    {x : Phi(x) - Phi(x_dagger) < c}. For the quadratic objective, the one
+    form a config can select, that region is the ball of radius sqrt(2c)
+    around x_dagger, and it lies inside the box because c < c*. Each draw
+    takes n standard normals z and one uniform U and sets
+    x_bar = x_dagger + sqrt(2c) * U^(1/n) * z / ||z||, which is uniform in
+    the ball (Muller, Comm. ACM 2(4), 1959), so the cost does not grow
+    with n. A draw outside the box's interior margin or not below the
+    level is drawn again; after 100 such draws the ball evidently leaves
+    the box and ValueError is raised. Any other objective form raises
+    ValueError.
+
+    p0 = -g0(x_bar), so that the response at p0 is exactly x_bar and p0
+    lies inside the working sublevel set by construction. x0 is then
+    drawn uniformly over the box. Sampling is uniform in x-space; its
+    pushforward through -g0 is not uniform over the incentive set, which
+    is accepted and documented.
     """
+    if objective.form != "quadratic":
+        raise ValueError("initial conditions are sampled exactly only for the "
+                         f"quadratic objective, not {objective.form!r}")
     eps = interior_margin(game.space)
     lo = game.space.lower + eps
     hi = game.space.upper - eps
+    radius = math.sqrt(2.0 * geom.c)
     pairs = []
     for run_index in range(cfg.num_initial_conditions):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((cfg.seed, run_index)))
         )
-        failures = 0
-        while True:
-            cand = rng.uniform(game.space.lower, game.space.upper)
+        for _ in range(100):
+            z = rng.standard_normal(game.dim)
+            scale = radius * rng.uniform() ** (1.0 / game.dim) / np.linalg.norm(z)
+            cand = objective.x_dagger + scale * z
             if (np.all(cand >= lo) and np.all(cand <= hi)
                     and objective.gap(cand) < geom.c):
                 break
-            failures += 1
-            if failures >= 10_000:
-                raise ValueError(
-                    "initial-condition rejection acceptance rate fell below "
-                    "1e-4; increase c_fraction or shrink the strategy box"
-                )
+        else:
+            raise ValueError(
+                f"100 draws from the sublevel ball of radius {radius:.6g} missed the "
+                "box interior or the level; the ball leaves the strategy box, "
+                "so c must lie below c*"
+            )
         p0 = -game.g0(cand)
         if not in_sublevel_set(geom, p0, x0=cand):
             raise AssertionError("constructed p0 failed the membership oracle")
@@ -414,17 +433,25 @@ def _batch_summary(experiment: str, results: list, **fields):
     return [r for r in results if r["ok"]], summary
 
 
-def _prepare_batch(cfg: ExperimentConfig):
+def _prepare_batch(cfg: ExperimentConfig, settings=lambda game: None):
+    """(run spec, settings(game), initial conditions) of a batch command.
+
+    The instance, the solver settings, the command's own ``settings`` and
+    the initial conditions are all built before the output directory is
+    made, so a configuration error leaves no files behind.
+    """
     spec, game, objective = resolve_instance(cfg)
     solver = _typed(ResponseSolverConfig, cfg.solver, "solver")
     geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction,
                                   solver_cfg=solver)
+    made = settings(game)
+    ics = _initial_conditions(cfg, geom)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, geom, out_dir)
     run = RunSpec(game=spec, x_dagger=objective.x_dagger, solver=solver,
                   c=geom.c, c_star=geom.c_star, out_dir=out_dir)
-    return run, geom
+    return run, made, ics
 
 
 def _ttsa_config(cfg: ExperimentConfig, game: GameModel, **fields) -> TtsaConfig:
@@ -453,8 +480,7 @@ def run_flow_batch(cfg: ExperimentConfig):
     if cfg.experiment != "flow":
         raise ValueError("config experiment must be 'flow'")
     fcfg = _typed(FlowConfig, cfg.flow, "flow")
-    run, geom = _prepare_batch(cfg)
-    ics = _initial_conditions(cfg, geom)
+    run, _, ics = _prepare_batch(cfg)
     results = _run_batch(run, fcfg, [(i, p0) for i, (_, p0) in enumerate(ics)], cfg.jobs)
 
     ok, summary = _batch_summary("flow", results)
@@ -503,9 +529,8 @@ def run_ttsa_batch(cfg: ExperimentConfig):
     if cfg.experiment != "ttsa":
         raise ValueError("config experiment must be 'ttsa'")
     schedule = _typed(StepSchedule, cfg.schedule, "schedule")
-    run, geom = _prepare_batch(cfg)
-    tcfg = _ttsa_config(cfg, geom.game, schedule=schedule)
-    ics = _initial_conditions(cfg, geom)
+    run, tcfg, ics = _prepare_batch(
+        cfg, lambda game: _ttsa_config(cfg, game, schedule=schedule))
     results = _run_batch(run, tcfg, [(i, schedule, x0, p0) for i, (x0, p0) in enumerate(ics)],
                          cfg.jobs)
 
@@ -548,9 +573,8 @@ def run_timescale_sweep(cfg: ExperimentConfig):
     # validated once, so a bad schedule is a configuration error even when
     # every gamma is skipped; each kept gamma swaps in its own b_exp
     base = _typed(StepSchedule, cfg.schedule, "schedule", a_exp=cfg.a_exp_base, b_exp=1.0)
-    run, geom = _prepare_batch(cfg)
-    tcfg = _ttsa_config(cfg, geom.game)
-    x0, p0 = _initial_conditions(cfg, geom)[0]
+    run, tcfg, ics = _prepare_batch(cfg, lambda game: _ttsa_config(cfg, game))
+    x0, p0 = ics[0]
     kept, items, skipped = [], [], []
     for i, gamma in enumerate(cfg.gammas):
         b_exp = cfg.a_exp_base + gamma
@@ -738,17 +762,19 @@ def run_verify(cfg: ExperimentConfig):
     # schedules: divergent partial sums (integral lower bound) and
     # square-summability (Hurwitz zeta reference)
     K = 1_000_000
-    ks = np.arange(K, dtype=float)
     ok_all = True
     measured = {}
     bounds = {}
     for label, coef, expo in (("a", sched.a0, sched.a_exp),
                               ("b", sched.b0, sched.b_exp)):
-        s1 = float(np.sum(coef * (ks + sched.offset) ** (-expo)))
+        # one array of K terms, squared in place: a second array would add
+        # 8 MB to the peak memory of verify
+        steps = coef * (np.arange(K, dtype=float) + sched.offset) ** (-expo)
+        s1 = float(np.sum(steps))
         lower = coef * ((K + sched.offset) ** (1 - expo)
                         - sched.offset ** (1 - expo)) / (1 - expo) if expo < 1 \
             else coef * math.log((K + sched.offset) / sched.offset)
-        s2 = float(np.sum(coef ** 2 * (ks + sched.offset) ** (-2 * expo)))
+        s2 = float(np.sum(np.square(steps, out=steps)))
         zeta_ref = coef ** 2 * float(scipy.special.zeta(2 * expo, sched.offset)
                                      - scipy.special.zeta(2 * expo, sched.offset + K))
         measured[label] = {"sum": s1, "sum_sq": s2}

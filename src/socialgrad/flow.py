@@ -275,6 +275,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         outcomes[int(runs[row])] = errors.get(
             row, ValueError("p0 lies outside the working sublevel set"))
     runs, P, warm = runs[admitted], P[admitted], X[admitted]
+    G = grad_phi(warm)   # the field at P: each step's first stage
     records = {int(run): FlowRecord(dim=game.dim) for run in runs}
     failed = {}        # row -> the error that stops its run in the current step
     t = 0.0
@@ -316,14 +317,15 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         if not len(runs):
             break
         failed.clear()
+        # G = grad Phi(x*(P)) was solved at the end of the last step (or on
+        # admission), and every row still running passed its checks there
         if cfg.method == "rk4":
-            k1 = field(P)
-            k2 = field(P + 0.5 * dt * k1)
+            k2 = field(P + 0.5 * dt * G)
             k3 = field(P + 0.5 * dt * k2)
             k4 = field(P + dt * k3)
-            P_next = P + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            P_next = P + (dt / 6.0) * (G + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            P_next = P + dt * field(P)
+            P_next = P + dt * G
         t = k * dt
         X, boundary = response(P_next)
         for row in boundary:
@@ -343,7 +345,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
             record = records.pop(run)
             outcomes[run] = failed[row] if row in failed else _finish(record, geom, dt, True)
         keep = ~leave
-        runs, P, warm = runs[keep], P_next[keep], X[keep]
+        runs, P, warm, G = runs[keep], P_next[keep], X[keep], G[keep]
     for run, record in records.items():
         outcomes[run] = _finish(record, geom, dt, False)
     results = [outcomes[r] for r in range(len(P0))]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from socialgrad import (
     ExperimentConfig,
@@ -160,15 +162,53 @@ def test_samples_are_admissible(agg, agg_geom80):
         assert in_sublevel_set(agg_geom80, p0)
 
 
-def test_sampler_gives_up_on_tiny_level(agg):
-    from socialgrad import make_sublevel_geometry
-
+def test_sampler_draws_at_a_tiny_level(agg):
+    # the ball holds about 1e-9 of the box's volume, so rejection from the
+    # box would need about 1e9 draws per sample; the ball draw needs one
     geom = make_sublevel_geometry(agg.game, agg.objective, c_frac=0.001)
     cfg = ExperimentConfig(experiment="flow", preset="aggregative-5",
-                           num_initial_conditions=1, c_fraction=0.001)
+                           num_initial_conditions=20, c_fraction=0.001)
+    pairs = sample_initial_conditions(cfg, agg.game, agg.objective, geom)
+    assert len(pairs) == 20
+    for x0, p0 in pairs:
+        assert agg.game.space.contains(x0)
+        assert in_sublevel_set(geom, p0)
+
+
+def test_sampler_gives_up_when_the_ball_leaves_the_box(agg, agg_geom80):
+    # c far above c*: nearly all of the ball lies outside the box
+    geom = dataclasses.replace(agg_geom80, c=1e4 * agg_geom80.c_star)
+    cfg = ExperimentConfig(experiment="flow", preset="aggregative-5",
+                           num_initial_conditions=1)
     with pytest.raises(ValueError) as info:
         sample_initial_conditions(cfg, agg.game, agg.objective, geom)
-    assert "c_fraction" in str(info.value)
+    assert "leaves the strategy box" in str(info.value)
+
+
+def test_sampler_rejects_other_objective_forms(agg, agg_geom80):
+    objective = dataclasses.replace(agg.objective, form="generic")
+    cfg = ExperimentConfig(experiment="flow", preset="aggregative-5",
+                           num_initial_conditions=1)
+    with pytest.raises(ValueError) as info:
+        sample_initial_conditions(cfg, agg.game, objective, agg_geom80)
+    assert "quadratic" in str(info.value)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_sampler_is_uniform_in_the_sublevel_ball(n):
+    # uniform in an n-ball of radius r means (||x - x_dagger|| / r)^n ~ U(0, 1)
+    x_dagger = [0.3, -0.2, 0.1, 0.4, -0.5, 0.2][:n]
+    cfg = resolve_config("flow", file_cfg={
+        "game": {"kind": "aggregative", "n": n}, "x_dagger": x_dagger,
+        "num_initial_conditions": 400, "c_fraction": 0.9, "seed": 12,
+    })
+    _, game, objective = resolve_instance(cfg)
+    geom = make_sublevel_geometry(game, objective, c_frac=cfg.c_fraction)
+    pairs = sample_initial_conditions(cfg, game, objective, geom)
+    x_bar, _ = geom.oracle.response(np.array([p0 for _, p0 in pairs]))
+    radii = np.linalg.norm(x_bar - objective.x_dagger, axis=1) / np.sqrt(2.0 * geom.c)
+    assert radii.max() < 1.0
+    assert scipy.stats.kstest(radii ** n, "uniform").pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +651,23 @@ _QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
     ("flow", {"flow": {"record_every": 2.5}}),
     ("ttsa", {"jobs": 2.5}),
     ("verify", {"seed": True}),
+    ("sweep", {"a_exp_base": "x"}),
+    ("ttsa", {"rule": "NE"}),
+    ("ttsa", {"rule": {"kind": "PG", "eta": 99}}),
+    ("sweep", {"rule": {"kind": "PG", "eta": 99}}),
+    ("flow", {"x0": [0.0] * 5}),
 ])
 def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
-    cfg = _write_cfg(tmp_path / "c.json", dict(_QUICK, output_dir=str(tmp_path / "o"), **bad))
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path / "c.json", dict(_QUICK, output_dir=str(out), **bad))
     assert cli.main([command, "--config", cfg]) == 2
+    assert not out.exists()
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    # the message names the bad key, or the bad key of a nested mapping
+    (key, value), = bad.items()
+    assert any(name in captured.err
+               for name in [key, *(value if isinstance(value, dict) else [])])
 
 
 def test_cli_sweep_rejects_bad_schedule_when_every_gamma_is_skipped(tmp_path, capsys):
@@ -660,6 +711,22 @@ def test_cli_verify_inline_n8_game(tmp_path, capsys):
     report = json.loads((tmp_path / "v8" / "verify_report.json").read_text())
     cert = [e for e in report["report"] if e["name"] == "monotonicity-certificate"][0]
     assert cert["passed"] and "eigensolve" in cert["note"]
+
+
+_X_DAGGER_10 = [0.3, -0.2, 0.1, 0.4, -0.5, 0.2, 0.3, -0.2, 0.1, 0.4]
+
+
+@pytest.mark.parametrize("command", ["verify", "flow", "ttsa"])
+@pytest.mark.parametrize("x_dagger", [_X_DAGGER_10, [0.1] * 100], ids=["n10", "n100"])
+def test_cli_inline_large_n_game(tmp_path, capsys, command, x_dagger):
+    # set-up, sampling and the certificate must not grow exponentially in n
+    cfg = _write_cfg(tmp_path / "c.json", {
+        "game": {"kind": "aggregative", "n": len(x_dagger)}, "x_dagger": x_dagger,
+        "num_initial_conditions": 4, "max_iter": 2000, "flow": {"horizon_T": 2.0},
+        "output_dir": str(tmp_path / "o"),
+    })
+    assert cli.main([command, "--config", cfg]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
