@@ -30,7 +30,7 @@ from .flow import (
     lyapunov_derivative,
     make_sublevel_geometry,
 )
-from .games import GameModel, certify_strong_monotonicity
+from .games import GameModel, as_vector, certify_strong_monotonicity
 from .objectives import SocialObjective, quadratic_objective
 from .presets import PRESET_NAMES, build_game_from_spec, game_spec_from_dict, load_preset
 from .records import fmt17, write_csv, write_json
@@ -71,6 +71,13 @@ def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _numbers(value, name: str) -> list:
+    """``value``, which must be a list of numbers."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment run needs, JSON round-trippable.
@@ -107,8 +114,7 @@ class ExperimentConfig:
         for name in _INTEGER_FIELDS:
             if not _is_number(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.gammas, list) or not all(map(_is_number, self.gammas)):
-            raise ValueError(f"gammas must be a list of numbers, got {self.gammas!r}")
+        _numbers(self.gammas, "gammas")
         if not _is_number(self.a_exp_base):
             raise ValueError(f"a_exp_base must be a number, got {self.a_exp_base!r}")
         if not isinstance(self.rule, dict):
@@ -116,8 +122,12 @@ class ExperimentConfig:
         eta = self.rule.get("eta")
         if eta is not None and not _is_number(eta):
             raise ValueError(f"rule eta must be a number, got {eta!r}")
-        if not 0.0 < self.c_fraction < 1.0:
-            raise ValueError("c_fraction must lie in (0, 1)")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not _is_number(self.c_fraction) or not 0.0 < self.c_fraction < 1.0:
+            raise ValueError(f"c_fraction must lie in (0, 1), got {self.c_fraction!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.num_initial_conditions < 1:
             raise ValueError("num_initial_conditions must be at least 1")
         if self.jobs < 1:
@@ -460,11 +470,17 @@ def _ttsa_config(cfg: ExperimentConfig, game: GameModel, **fields) -> TtsaConfig
 
 
 def _initial_conditions(cfg: ExperimentConfig, geom: SublevelGeometry):
+    """The runs' (x0, p0) starts; a bad pinned pair is a configuration error."""
     if cfg.x0 is not None or cfg.p0 is not None:
         if cfg.x0 is None or cfg.p0 is None:
             raise ValueError("pin both x0 and p0 or neither")
-        x0 = np.asarray(cfg.x0, dtype=float)
-        p0 = np.asarray(cfg.p0, dtype=float)
+        game = geom.game
+        x0, p0 = (as_vector(_numbers(getattr(cfg, name), name), dim=game.dim, name=name)
+                  for name in ("x0", "p0"))
+        if not game.space.contains(x0):
+            raise ValueError("x0 lies outside the strategy box")
+        if not in_sublevel_set(geom, p0):
+            raise ValueError("p0 lies outside the working sublevel set")
         return [(x0, p0)] * cfg.num_initial_conditions
     return sample_initial_conditions(cfg, geom.game, geom.objective, geom)
 

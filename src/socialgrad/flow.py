@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -201,27 +202,91 @@ class FlowConfig:
             raise ValueError("record_every must be at least 1")
 
 
-def isolate_row_failures(solve, P, warm):
-    """``solve(P, warm)`` for an (R, n) stack, where a solve that raises
-    fails only its own row.
+class RunBatch:
+    """R independent runs of one dynamics, stepped together as (R, n) stacks.
 
-    ``solve`` returns (X, mask) for a stack, as SublevelGeometry.admit and
-    ResponseOracle.response do. Returns (X, mask, {row: error}). When the
-    stack's solve raises SolverError, the rows are solved again one at a
-    time to find the rows that fail; their X is NaN and their mask False.
+    Row i of every stack the caller keeps belongs to run ``runs[i]``, whose
+    record is ``records[i]``. The batch checks each run's start, admits the
+    starts at a level, solves stacks so that a failing solve fails only its
+    row, retires rows with their outcome and returns the outcomes in run
+    order. No operation mixes rows, so each run's output is the same alone
+    and in any batch; a start of shape (n,) is the batch of one, which
+    returns its outcome or raises it.
     """
-    try:
-        X, mask = solve(P, warm)
-        return X, mask, {}
-    except SolverError:
-        pass
-    X, mask, errors = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool), {}
-    for r in range(len(P)):
+
+    def __init__(self, geom: SublevelGeometry, make_record, p0, x0=None):
+        self.geom, self.single = geom, np.ndim(p0) == 1
+        P0 = np.atleast_2d(np.asarray(p0, dtype=float))
+        X0 = None if x0 is None else np.atleast_2d(np.asarray(x0, dtype=float))
+        if X0 is not None and len(X0) != len(P0):
+            raise ValueError(f"{len(X0)} strategy starts but {len(P0)} incentive starts")
+        self.size, self.outcomes = len(P0), {}
+        game = geom.game
+        for r in range(self.size):
+            try:
+                if X0 is not None:
+                    as_vector(X0[r], dim=game.dim, name="x0")
+                as_vector(P0[r], dim=game.dim, name="p0")
+                if X0 is not None and not game.space.contains(X0[r]):
+                    raise ValueError("x0 lies outside the strategy box")
+            except ValueError as exc:
+                self.outcomes[r] = exc
+        self.runs = np.flatnonzero([r not in self.outcomes for r in range(self.size)])
+        self.records = [make_record() for _ in self.runs]
+        self._starts = [P0] if X0 is None else [P0, X0]
+
+    def start(self, level: Optional[float] = None):
+        """The stacks (responses, p0, x0 if given) of the runs whose start is
+        admitted at ``level`` (default: the geometry's c); the others leave."""
+        starts = [start[self.runs] for start in self._starts]
+        X, admitted, errors = self.solve(partial(self.geom.admit, level=level), starts[0], None)
+        for row in np.flatnonzero(~admitted):
+            errors.setdefault(row, ValueError("p0 lies outside the working sublevel set"))
+        return self.leave(errors, X, *starts)
+
+    def solve(self, fn, P, warm):
+        """(X, mask, {row: error}) of ``fn(P, warm)``, which returns (X, mask)
+        as SublevelGeometry.admit does. If the stack's solve raises
+        SolverError, each row is solved alone; a row that raises again gets
+        X NaN and mask False."""
         try:
-            X[r:r + 1], mask[r:r + 1] = solve(P[r:r + 1], None if warm is None else warm[r:r + 1])
-        except SolverError as exc:
-            errors[r] = exc
-    return X, mask, errors
+            X, mask = fn(P, warm)
+            return X, mask, {}
+        except SolverError:
+            pass
+        X, mask, errors = np.full_like(P, np.nan), np.zeros(len(P), dtype=bool), {}
+        for r in range(len(P)):
+            try:
+                X[r:r + 1], mask[r:r + 1] = fn(P[r:r + 1],
+                                               None if warm is None else warm[r:r + 1])
+            except SolverError as exc:
+                errors[r] = exc
+        return X, mask, errors
+
+    def leave(self, outcomes: dict, *stacks):
+        """Retire the rows keyed in ``outcomes`` ({row: outcome}) and return
+        ``stacks`` without them."""
+        if not outcomes:
+            return stacks
+        keep = np.ones(len(self.runs), dtype=bool)
+        keep[list(outcomes)] = False
+        for row, outcome in outcomes.items():
+            self.outcomes[int(self.runs[row])] = outcome
+        self.records = [record for record, kept in zip(self.records, keep) if kept]
+        self.runs = self.runs[keep]
+        return tuple(stack[keep] for stack in stacks)
+
+    def results(self, finish):
+        """The outcomes in run order; each run still in the batch ends with
+        ``finish(run, record)``."""
+        for run, record in zip(self.runs, self.records):
+            self.outcomes[int(run)] = finish(int(run), record)
+        results = [self.outcomes[r] for r in range(self.size)]
+        if self.single:
+            if isinstance(results[0], Exception):
+                raise results[0]
+            return results[0]
+        return results
 
 
 def _finish(record: FlowRecord, geom: SublevelGeometry, dt: float, stopped_early: bool):
@@ -244,113 +309,66 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
 
     One run takes p0 of shape (n,) and returns the sampled trajectory
     record and a summary dict, raising if the run fails. A batch takes an
-    (R, n) stack, one run per row, integrates all R runs together and
-    returns one entry per run: (record, summary), or the exception that
-    stopped that run. No operation mixes rows, so each run's output is the
-    same alone and in any batch; a single run is the batch of one.
+    (R, n) stack, one run per row, integrates all R runs together as a
+    RunBatch and returns one entry per run: (record, summary), or the
+    exception that stopped that run.
 
     Each p0 must lie inside the working sublevel set (else ValueError). A
     run fails with FlowDomainError, the last valid state attached, if a
     step drives its response onto the box boundary (with c < c* this
     indicates a too-large dt), and with SolverError if its response solve
-    fails. A run stops early once its social gradient falls to stop_tol.
+    fails; it leaves the batch at the stage that failed. A run stops early
+    once its social gradient falls to stop_tol.
     """
-    single = np.ndim(p0) == 1
     game, objective = geom.game, geom.objective
-    P0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    outcomes = {}
-    for r in range(len(P0)):
-        try:
-            as_vector(P0[r], dim=game.dim, name="p0")
-        except ValueError as exc:
-            outcomes[r] = exc
+    batch = RunBatch(geom, lambda: FlowRecord(dim=game.dim), p0)
     dt = cfg.dt if cfg.dt is not None else 0.005 * game.monotonicity_m
     n_steps = max(1, int(round(cfg.horizon_T / dt)))
     grad_phi, respond = objective.grad_phi, geom.oracle.response
-
-    runs = np.array([r for r in range(len(P0)) if r not in outcomes], dtype=int)
-    P = P0[runs]
-    X, admitted, errors = isolate_row_failures(geom.admit, P, None)
-    for row in np.flatnonzero(~admitted):
-        outcomes[int(runs[row])] = errors.get(
-            row, ValueError("p0 lies outside the working sublevel set"))
-    runs, P, warm = runs[admitted], P[admitted], X[admitted]
+    warm, P = batch.start()
     G = grad_phi(warm)   # the field at P: each step's first stage
-    records = {int(run): FlowRecord(dim=game.dim) for run in runs}
-    failed = {}        # row -> the error that stops its run in the current step
-    t = 0.0
 
     def sample(t, rows, P, X):
         for row in rows:
             x, p = X[row], P[row]
-            records[int(runs[row])].append(
+            batch.records[row].append(
                 t, p, x, objective.gap(x), np.linalg.norm(grad_phi(x)),
                 np.linalg.norm(p - geom.p_dagger))
 
-    def response(P_at):
-        """Responses at P_at of the rows still running, and the rows whose
-        response is on the boundary; solver failures go into ``failed``."""
+    def solve(P_at, message, P, *stacks):
+        """grad Phi(x*(P_at)), x*(P_at), P and ``stacks`` for the rows whose
+        response is interior. The others leave, with their SolverError or a
+        FlowDomainError carrying the state at the start of the step."""
         nonlocal warm
-        if not failed:
-            X, interior, errors = isolate_row_failures(respond, P_at, warm)
-        else:
-            live = [row for row in range(len(runs)) if row not in failed]
-            X = np.full_like(P_at, np.nan)
-            interior = np.zeros(len(runs), dtype=bool)
-            X[live], interior[live], sub = isolate_row_failures(
-                respond, P_at[live], warm[live])
-            errors = {live[row]: exc for row, exc in sub.items()}
-        failed.update(errors)
-        warm = X
-        return X, [row for row in np.flatnonzero(~interior) if row not in failed]
+        X, interior, errors = batch.solve(respond, P_at, warm)
+        for row in np.flatnonzero(~interior):
+            errors.setdefault(row, FlowDomainError(message.format(t=t), t_last=t_last,
+                                                   p_last=P[row]))
+        warm, P, *stacks = batch.leave(errors, X, P, *stacks)
+        return (grad_phi(warm), warm, P, *stacks)
 
-    def field(P_at):
-        """The vector field p -> grad Phi(x*(p)) at every row of P_at."""
-        X, boundary = response(P_at)
-        for row in boundary:
-            failed[row] = FlowDomainError("integration step produced a boundary response",
-                                          t_last=t, p_last=P[row])
-        return grad_phi(X)
-
-    sample(0.0, range(len(runs)), P, warm)
+    boundary = "integration step produced a boundary response"
+    sample(0.0, range(len(P)), P, warm)
     for k in range(1, n_steps + 1):
-        if not len(runs):
+        if not len(P):
             break
-        failed.clear()
         # G = grad Phi(x*(P)) was solved at the end of the last step (or on
         # admission), and every row still running passed its checks there
+        t_last, t = (k - 1) * dt, k * dt
         if cfg.method == "rk4":
-            k2 = field(P + 0.5 * dt * G)
-            k3 = field(P + 0.5 * dt * k2)
-            k4 = field(P + dt * k3)
+            k2, _, P, G = solve(P + 0.5 * dt * G, boundary, P, G)
+            k3, _, P, G, k2 = solve(P + 0.5 * dt * k2, boundary, P, G, k2)
+            k4, _, P, G, k2, k3 = solve(P + dt * k3, boundary, P, G, k2, k3)
             P_next = P + (dt / 6.0) * (G + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             P_next = P + dt * G
-        t = k * dt
-        X, boundary = response(P_next)
-        for row in boundary:
-            failed[row] = FlowDomainError(
-                f"flow left the admissible set at t={t:.6g}",
-                t_last=(k - 1) * dt, p_last=P[row])
-        G = grad_phi(X)
+        G, X, _, P_next = solve(P_next, "flow left the admissible set at t={t:.6g}",
+                                P, P_next)
         stop = np.sqrt(rowwise_dot(G, G)) <= cfg.stop_tol
-        stop[list(failed)] = False
-        recorded = (range(len(runs)) if k % cfg.record_every == 0 or k == n_steps
+        recorded = (range(len(P_next)) if k % cfg.record_every == 0 or k == n_steps
                     else np.flatnonzero(stop))
-        sample(t, [row for row in recorded if row not in failed], P_next, X)
-        leave = stop.copy()
-        leave[list(failed)] = True
-        for row in np.flatnonzero(leave):
-            run = int(runs[row])
-            record = records.pop(run)
-            outcomes[run] = failed[row] if row in failed else _finish(record, geom, dt, True)
-        keep = ~leave
-        runs, P, warm, G = runs[keep], P_next[keep], X[keep], G[keep]
-    for run, record in records.items():
-        outcomes[run] = _finish(record, geom, dt, False)
-    results = [outcomes[r] for r in range(len(P0))]
-    if single:
-        if isinstance(results[0], Exception):
-            raise results[0]
-        return results[0]
-    return results
+        sample(t, recorded, P_next, X)
+        P, warm, G = batch.leave(
+            {row: _finish(batch.records[row], geom, dt, True) for row in np.flatnonzero(stop)},
+            P_next, X, G)
+    return batch.results(lambda run, record: _finish(record, geom, dt, False))

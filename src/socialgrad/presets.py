@@ -329,7 +329,8 @@ def game_spec_from_dict(d: dict):
 
     Anything malformed raises ValueError: an unknown kind or key, an
     explicit aggregative instance missing some of q, W and a (or mixed
-    with n or seed, which generate one), or a value of the wrong type.
+    with n or seed, which generate one), or a value of the wrong type or
+    out of range.
     """
     if not isinstance(d, dict):
         raise ValueError("inline game spec must be a mapping")
@@ -368,8 +369,11 @@ def _spec_from_checked_dict(kind: str, d: dict):
                 a=float(d["a"]),
                 box=box,
             )
-        spec = default_aggregative_spec(n=int(d.get("n", 5)),
-                                        seed=int(d.get("seed", INSTANCE_SEED)))
+        counts = {"n": d.get("n", 5), "seed": d.get("seed", INSTANCE_SEED)}
+        for (name, value), least in zip(counts.items(), (2, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        spec = default_aggregative_spec(**counts)
         if box is not None:
             spec = AggregativeGameSpec(q=spec.q, W=spec.W, a=spec.a, box=box)
         return spec

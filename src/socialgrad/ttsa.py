@@ -23,11 +23,12 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .flow import SublevelGeometry, isolate_row_failures
+from .flow import RunBatch, SublevelGeometry
 from .games import GameModel, as_vector, rowwise_matvec
 from .records import TtsaRecord
 from .solvers import ResponseSolverConfig, solve_response
@@ -257,114 +258,11 @@ class TtsaConfig:
         return dataclasses.asdict(self)
 
 
-class _Engine:
-    """R independent runs of the gated iteration, stepped together.
-
-    Run i is row i of the (R, n) arrays X (strategies), P (accepted
-    incentives) and Xstar (the responses at P); ``runs`` maps rows to the
-    caller's run indices and ``warm`` holds each row's last computed
-    response, the warm start of its next solve. A step applies the rule to
-    every row, asks the gate once for the responses to every row's
-    proposed incentive, and accepts or rejects row by row. No operation
-    mixes rows, so a run's trajectory is the same alone and in any batch.
-
-    The gate, ``SublevelGeometry.admit``, makes the per-step solve cheap:
-    a cached-inverse product for linear games (an out-of-box root
-    certifies a boundary equilibrium, so the candidate is inadmissible
-    without solving further) and otherwise one stacked solve of every
-    row, each from its own warm start.
-    """
-
-    def __init__(self, geom: SublevelGeometry, level: float, rule: LearningRule):
-        self.geom = geom
-        self.game = geom.game
-        self.objective = geom.objective
-        self.level = level
-        self.rule = rule
-
-    def start(self, X, P, runs):
-        """Bind the runs' starts and drop those that fail.
-
-        Returns {run: error} for the dropped runs: a start outside the
-        working sublevel set, or one whose response solve raised.
-        """
-        self.X, self.P, self.runs = X, P, np.asarray(runs)
-        self.Xstar, admitted, errors = self._admit(P, None)
-        self.warm = self.Xstar
-        for row in np.flatnonzero(~admitted):
-            errors.setdefault(row, ValueError("p0 lies outside the working sublevel set"))
-        return self._drop(errors)[1]
-
-    def step(self, a, b):
-        """One update of every row with step sizes a and b (scalars or (R, 1)).
-
-        Returns the accepted mask of the rows that remain, and {run: error}
-        for the runs dropped because their response solve raised.
-        """
-        X, P = self.X, self.P
-        if self.rule.kind == "NE":
-            F = self.Xstar
-        elif self.rule.kind == "BR":
-            F = _best_responses(self.game, X, P)
-        else:
-            F = _pg_steps(self.game, X, P, self.rule.eta)
-        P_hat = P + b * self.objective.grad_phi(X)
-        X_hat, accepted, errors = self._admit(P_hat, self.warm)
-        self.X = X + a * (F - X)
-        rows = accepted[:, None]
-        self.P = np.where(rows, P_hat, P)
-        self.Xstar = np.where(rows, X_hat, self.Xstar)
-        self.warm = X_hat
-        if errors:
-            kept, failures = self._drop(errors)
-            return accepted[kept], failures
-        return accepted, {}
-
-    def _drop(self, errors):
-        """Remove the rows keyed in ``errors``.
-
-        Returns the mask of the rows kept and {run: error}.
-        """
-        kept = np.ones(len(self.runs), dtype=bool)
-        kept[list(errors)] = False
-        failures = {int(self.runs[row]): exc for row, exc in errors.items()}
-        self.X, self.P, self.Xstar = self.X[kept], self.P[kept], self.Xstar[kept]
-        self.warm, self.runs = self.warm[kept], self.runs[kept]
-        return kept, failures
-
-    def _admit(self, P, warm):
-        """Responses to each row of P, the gate's verdict on each row, and
-        {row: error} for the rows whose solve raised.
-
-        A solve that raises fails only its own row (isolate_row_failures).
-        """
-        return isolate_row_failures(
-            lambda P, warm: self.geom.admit(P, warm, self.level), P, warm)
-
-
 def _resolve_level(cfg: TtsaConfig, geom: SublevelGeometry) -> float:
     level = cfg.c if cfg.c is not None else geom.c
     if not 0.0 < level < geom.c_star:
         raise ValueError(f"c={level} must lie strictly between 0 and c*={geom.c_star:.6g}")
     return level
-
-
-def _validated_starts(x0, p0, game: GameModel):
-    """(X0, P0, {run: error}) with the starts of R runs stacked as (R, n)."""
-    X0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    P0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    if len(X0) != len(P0):
-        raise ValueError(f"{len(X0)} strategy starts but {len(P0)} incentive starts")
-    errors = {}
-    for r in range(len(X0)):
-        try:
-            as_vector(X0[r], dim=game.dim, name="x0")
-            as_vector(P0[r], dim=game.dim, name="p0")
-            if not game.space.contains(X0[r], margin=0.0):
-                raise ValueError("x0 lies outside the strategy box")
-        except ValueError as exc:
-            errors[r] = exc
-    return X0, P0, errors
 
 
 def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
@@ -374,28 +272,32 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
     raising if the run fails. A batch takes (R, n) stacks, one run per
     row, and steps all R runs together; ``schedules`` gives each run its
     own StepSchedule (cfg.schedule by default). It returns one entry per
-    run: (record, summary), or the exception that stopped that run. A run
-    whose start is invalid fails before the loop, a run whose response
-    solve raises fails where it stops, and neither changes the other runs:
-    each run's output is the same as when it runs alone.
+    run: (record, summary), or the exception that stopped that run. The
+    runs are a RunBatch: a run whose start is invalid fails before the
+    loop, a run whose response solve raises fails where it stops, and
+    neither changes the other runs.
+
+    Each step asks the gate, SublevelGeometry.admit, once for the
+    responses to every row's proposed incentive: a cached-inverse product
+    for linear games, otherwise one stacked solve, each row from its own
+    warm start.
 
     The record samples every ``record_every`` steps plus the initial and
     final states; it also keeps the full per-step acceptance array so
     acceptance fractions over any window stay exact. Summary reports final
     errors and the accepted fraction over the last tenth of the run.
     """
-    single = np.ndim(x0) == 1
     game = geom.game
     objective = geom.objective
-    X0, P0, outcomes = _validated_starts(x0, p0, game)
-    R = len(X0)
+    batch = RunBatch(geom, lambda: TtsaRecord(dim=game.dim), p0, x0)
+    R = batch.size
     if R == 0:
         return []
     schedules = [cfg.schedule] * R if schedules is None else list(schedules)
     if len(schedules) != R:
         raise ValueError(f"{len(schedules)} schedules for {R} runs")
     _check_rule(game, cfg.rule)
-    engine = _Engine(geom, _resolve_level(cfg, geom), cfg.rule)
+    level = _resolve_level(cfg, geom)
 
     # Step sizes per distinct schedule, indexed [k, schedule, 0] so that
     # a[k, group] is the (R, 1) column of the active rows.
@@ -407,17 +309,18 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
     b_tab = np.stack([np.fromiter(map(s.b, range(K)), float, K) for s in distinct],
                      axis=1)[:, :, None]
 
-    valid = np.array([r for r in range(R) if r not in outcomes], dtype=int)
-    outcomes.update(engine.start(X0[valid], P0[valid], valid))
-
-    records = {int(run): TtsaRecord(dim=game.dim) for run in engine.runs}
+    # Row i of X (strategies), P (accepted incentives) and Xstar (the
+    # responses at P) is run batch.runs[i]; X_hat holds each row's last
+    # computed response, the warm start of its next solve.
+    Xstar, P, X = batch.start(level)
+    X_hat, admit = Xstar, partial(geom.admit, level=level)
     accepts = np.zeros((K, R), dtype=bool)
     grad_phi = objective.grad_phi
 
     def sample(k, accepted):
-        for row, run in enumerate(engine.runs):
-            x, p, xstar = engine.X[row], engine.P[row], engine.Xstar[row]
-            records[run].append(
+        for row, record in enumerate(batch.records):
+            x, p, xstar = X[row], P[row], Xstar[row]
+            record.append(
                 k, x, p,
                 tracking=np.linalg.norm(x - xstar),
                 incentive=np.linalg.norm(p - geom.p_dagger),
@@ -426,29 +329,41 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
                 xi_norm=np.linalg.norm(grad_phi(x) - grad_phi(xstar)),
             )
 
-    sample(0, np.ones(len(engine.runs), dtype=bool))
-    g = group[engine.runs]
+    sample(0, np.ones(len(batch.runs), dtype=bool))
+    g = group[batch.runs]
     for k in range(K):
-        if not len(engine.runs):
+        if not len(batch.runs):
             break
-        accepted, failures = engine.step(a_tab[k, g], b_tab[k, g])
-        if failures:
-            outcomes.update(failures)
-            for run in failures:
-                del records[run]
-            g = group[engine.runs]
-        accepts[k, engine.runs] = accepted
+        # apply the rule to every row, ask the gate once for the responses
+        # to every row's proposed incentive, accept or reject row by row
+        if cfg.rule.kind == "NE":
+            F = Xstar
+        elif cfg.rule.kind == "BR":
+            F = _best_responses(game, X, P)
+        else:
+            F = _pg_steps(game, X, P, cfg.rule.eta)
+        P_hat = P + b_tab[k, g] * grad_phi(X)
+        X_hat, accepted, errors = batch.solve(admit, P_hat, X_hat)
+        X = X + a_tab[k, g] * (F - X)
+        rows = accepted[:, None]
+        P = np.where(rows, P_hat, P)
+        Xstar = np.where(rows, X_hat, Xstar)
+        if errors:
+            X, P, Xstar, X_hat, accepted, g = batch.leave(errors, X, P, Xstar, X_hat,
+                                                          accepted, g)
+        accepts[k, batch.runs] = accepted
         k1 = k + 1
         if k1 % cfg.record_every == 0 or k1 == K:
             sample(k1, accepted)
 
     tail_start = int(math.floor(0.9 * K))
-    for run, record in records.items():
+
+    def finish(run, record):
         record.step_accepts = accepts[:, run].copy()
         # a running sum, in step order, of b_k over the accepted steps
         masses = np.cumsum(b_tab[record.step_accepts, group[run], 0])
         record.accepted_mass = float(masses[-1]) if len(masses) else 0.0
-        outcomes[run] = (record, {
+        return record, {
             "final_tracking_error": record.tracking_errors[-1],
             "final_incentive_error": record.incentive_errors[-1],
             "final_V": record.values[-1],
@@ -456,10 +371,6 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
             "accepted_fraction_full": record.acceptance_fraction(0),
             "accepted_mass": record.accepted_mass,
             "iterations": K,
-        })
-    results = [outcomes[r] for r in range(R)]
-    if single:
-        if isinstance(results[0], Exception):
-            raise results[0]
-        return results[0]
-    return results
+        }
+
+    return batch.results(finish)

@@ -291,17 +291,24 @@ def test_ttsa_batch_outputs(tmp_path):
     assert summary["min_accepted_fraction_last_10pct"] <= 1.0
 
 
+# Projected Newton capped at 5 iterations solves the oscillator's set-up
+# and sampled starts 0 and 1, but not the cold solve that admits start 2.
+_FAILING_RUN_2 = {"preset": "oscillator-2", "x0": None, "p0": None,
+                  "num_initial_conditions": 3, "solver": {"max_iter": 5},
+                  "rule": {"kind": "PG", "eta": 0.15}}
+
+
 def test_ttsa_batch_survives_run_failures(tmp_path):
     cfg = resolve_config("ttsa", file_cfg={
-        "num_initial_conditions": 2, "max_iter": 50, "record_every": 10,
-        "output_dir": str(tmp_path / "u"),
-        "x0": [5.0, 5.0, 5.0, 5.0, 5.0],    # outside the strategy box
-        "p0": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "max_iter": 50, "record_every": 10, "output_dir": str(tmp_path / "u"),
+        **_FAILING_RUN_2,
     })
     results, summary = run_ttsa_batch(cfg)
-    assert summary["failed"] == 2
-    assert "envelope_csv" not in summary
-    assert all("error" in f for f in summary["failures"])
+    assert summary["runs"] == 3 and summary["failed"] == 1
+    failure, = summary["failures"]
+    assert failure["run_index"] == 2 and failure["error"].startswith("SolverError")
+    assert [r["run_index"] for r in results if r["ok"]] == [0, 1]
+    assert "envelope_csv" in summary
 
 
 def test_ttsa_requires_both_pins(tmp_path):
@@ -464,10 +471,8 @@ def test_cli_flow_roundtrip(tmp_path, capsys):
 
 def test_cli_failing_runs_exit_1(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "t.json", {
-        "num_initial_conditions": 1, "max_iter": 20, "record_every": 5,
-        "x0": [5.0, 5.0, 5.0, 5.0, 5.0],
-        "p0": [0.0, 0.0, 0.0, 0.0, 0.0],
-        "output_dir": str(tmp_path / "to"),
+        "max_iter": 20, "record_every": 5, "output_dir": str(tmp_path / "to"),
+        **_FAILING_RUN_2,
     })
     assert cli.main(["ttsa", "--config", cfg]) == 1
     capsys.readouterr()
@@ -656,10 +661,13 @@ _QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
     ("ttsa", {"rule": {"kind": "PG", "eta": 99}}),
     ("sweep", {"rule": {"kind": "PG", "eta": 99}}),
     ("flow", {"x0": [0.0] * 5}),
+    ("ttsa", {"output_dir": 5}),
+    ("flow", {"c_fraction": "x"}),
+    ("verify", {"seed": -1}),
 ])
 def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     out = tmp_path / "o"
-    cfg = _write_cfg(tmp_path / "c.json", dict(_QUICK, output_dir=str(out), **bad))
+    cfg = _write_cfg(tmp_path / "c.json", {**_QUICK, "output_dir": str(out), **bad})
     assert cli.main([command, "--config", cfg]) == 2
     assert not out.exists()
     captured = capsys.readouterr()
@@ -668,6 +676,27 @@ def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     (key, value), = bad.items()
     assert any(name in captured.err
                for name in [key, *(value if isinstance(value, dict) else [])])
+
+
+_OSC_PIN = {"preset": "oscillator-2", "x0": [0.0, -0.5], "p0": [-3.0, -3.0]}
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    ("ttsa", dict(_OSC_PIN, p0=[50, 50]), "p0"),
+    ("sweep", dict(_OSC_PIN, p0=[50, 50]), "p0"),
+    ("ttsa", dict(_OSC_PIN, x0=[0.0]), "x0"),
+    ("ttsa", dict(_OSC_PIN, x0=[5.0, 0.0]), "x0"),
+    ("ttsa", dict(_OSC_PIN, x0=[0.0, "a"]), "x0"),
+    ("flow", dict(_OSC_PIN, x0=[0, 0], p0=[50, 50]), "p0"),
+])
+def test_cli_bad_pinned_start_exits_2(tmp_path, capsys, command, bad, key):
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path / "c.json", {**_QUICK, "output_dir": str(out), **bad})
+    assert cli.main([command, "--config", cfg]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert key in captured.err
 
 
 def test_cli_sweep_rejects_bad_schedule_when_every_gamma_is_skipped(tmp_path, capsys):

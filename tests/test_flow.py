@@ -256,3 +256,81 @@ def test_flow_batch_rejects_bad_starts_per_row(agg_geom99):
     assert isinstance(outcomes[0], tuple)
     assert str(outcomes[1]) == "p0 lies outside the working sublevel set"
     assert isinstance(outcomes[2], ValueError) and "non-finite" in str(outcomes[2])
+
+
+def _k2_stage(geom, p0, cfg, s):
+    """(t_s, p_s, the k2 stage of step s + 1) of a solo run from p0."""
+    steps, _ = integrate_social_gradient_flow(
+        geom, p0, FlowConfig(dt=cfg.dt, horizon_T=cfg.horizon_T, record_every=1))
+    dt = cfg.dt if cfg.dt is not None else 0.005 * geom.game.monotonicity_m
+    p, x = steps.incentives[s], steps.responses[s]
+    return steps.times[s], p, p + 0.5 * dt * geom.objective.grad_phi(x)
+
+
+def test_boundary_response_at_a_stage_fails_only_its_flow_run(agg, agg_geom99,
+                                                             draw_admissible,
+                                                             monkeypatch, tmp_path):
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom99, 3, seed=4)
+    P0 = np.array([p for _, p in pairs])
+    cfg = FlowConfig(horizon_T=0.5, record_every=5)
+    solo = [integrate_social_gradient_flow(agg_geom99, p0, cfg)[0] for p0 in P0]
+    t_s, p_s, doomed = _k2_stage(agg_geom99, P0[1], cfg, 10)
+    original = agg_geom99.oracle.response
+
+    def response(p, warm=None):
+        x, interior = original(p, warm)
+        hit = (np.atleast_2d(p) == doomed).all(axis=1)
+        return x, interior & ~hit if np.ndim(p) == 2 else interior and not hit[0]
+
+    monkeypatch.setattr(agg_geom99.oracle, "response", response)
+    outcomes = integrate_social_gradient_flow(agg_geom99, P0, cfg)
+    assert isinstance(outcomes[1], FlowDomainError)
+    assert str(outcomes[1]) == "integration step produced a boundary response"
+    assert outcomes[1].t_last == t_s
+    assert np.array_equal(outcomes[1].p_last, p_s)
+    for i in (0, 2):
+        assert _csv(outcomes[i][0], tmp_path / "b.csv") == _csv(solo[i], tmp_path / "s.csv")
+
+
+def test_solver_failure_at_a_stage_fails_only_its_flow_run(osc, osc_geom95,
+                                                          draw_admissible,
+                                                          monkeypatch, tmp_path):
+    import socialgrad.solvers as solvers
+
+    pairs = draw_admissible(osc.game, osc.objective, osc_geom95, 3, seed=2)
+    P0 = np.array([p for _, p in pairs])
+    cfg = FlowConfig(dt=0.01, horizon_T=0.3, record_every=5)
+    solo = [integrate_social_gradient_flow(osc_geom95, p0, cfg)[0] for p0 in P0]
+    _, _, doomed = _k2_stage(osc_geom95, P0[0], cfg, 12)
+    original = solvers._projected_newton
+
+    def failing(game, P, *args, **kwargs):
+        # the stacked solve fails whenever the doomed incentive is a row
+        if any(np.array_equal(p, doomed) for p in P):
+            raise solvers.SolverError("injected failure")
+        return original(game, P, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_projected_newton", failing)
+    outcomes = integrate_social_gradient_flow(osc_geom95, P0, cfg)
+    assert isinstance(outcomes[0], solvers.SolverError)
+    for i in (1, 2):
+        assert _csv(outcomes[i][0], tmp_path / "b.csv") == _csv(solo[i], tmp_path / "s.csv")
+
+
+def test_flow_batch_solves_warm_start_per_row(osc, osc_geom95, draw_admissible,
+                                              monkeypatch):
+    import socialgrad.solvers as solvers
+
+    P0 = np.array([p for _, p in draw_admissible(osc.game, osc.objective, osc_geom95, 3)])
+    cold = []        # one entry per row solved: whether it started cold
+    original = solvers._projected_newton
+
+    def counting(game, P, cfg, X0=None):
+        cold.extend([X0 is None] * len(P))
+        return original(game, P, cfg, X0)
+
+    monkeypatch.setattr(solvers, "_projected_newton", counting)
+    steps = 10
+    integrate_social_gradient_flow(osc_geom95, P0, FlowConfig(dt=0.01, horizon_T=0.1))
+    assert len(cold) == 3 + 3 * 4 * steps      # the starts, then 4 solves a step
+    assert sum(cold) == 3                      # only the starts solve cold

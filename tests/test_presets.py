@@ -263,6 +263,11 @@ def test_game_spec_from_dict_rejects_malformed_specs():
         ({"kind": "oscillator", "theta": 4.5}, "oscillator"),
         ({"kind": "oscillator", "box": {"lower": [0.0, 0.0]}}, "box"),
         (["aggregative"], "mapping"),
+        ({"kind": "aggregative", "n": 2.5}, "n must"),
+        ({"kind": "aggregative", "n": 1}, "n must"),
+        ({"kind": "aggregative", "n": True}, "n must"),
+        ({"kind": "aggregative", "seed": 1.7}, "seed must"),
+        ({"kind": "aggregative", "seed": -1}, "seed must"),
     ):
         with pytest.raises(ValueError, match=word):
             game_spec_from_dict(bad)
