@@ -191,10 +191,19 @@ class FlowConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "explicit-euler"):
             raise ValueError("method must be 'rk4' or 'explicit-euler'")
+        for name in ("dt", "horizon_T", "stop_tol"):
+            value = getattr(self, name)
+            if name == "dt" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
+        if self.stop_tol < 0:
+            raise ValueError("stop_tol must be at least 0")
         every = self.record_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
             raise ValueError(f"record_every must be an integer, got {every!r}")

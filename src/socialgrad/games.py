@@ -166,7 +166,6 @@ class CertificateReport:
     grid_worst_point: np.ndarray
     analytic_min_eig: Optional[float]  # builder-supplied bound, if any
     lip_jac_estimate: float            # max pairwise ||DG0(x)-DG0(y)|| / ||x-y||
-    operator_norm_estimate: float      # max over grid of ||DG0(x)||_2
     grid_density: int
     method: str
 
@@ -185,8 +184,8 @@ def certify_strong_monotonicity(game: GameModel, grid_density: int) -> Certifica
     eigensolve of Sym(M) is exact and ``grid_density`` goes unused; the
     Lipschitz estimate is 0. Otherwise a uniform grid with ``grid_density``
     points per axis is scanned, which also estimates the Jacobian Lipschitz
-    constant from pairwise differences and the operator norm. A failing
-    report is a valid result, not an error.
+    constant from pairwise differences. A failing report is a valid
+    result, not an error.
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2 per dimension")
@@ -201,7 +200,6 @@ def certify_strong_monotonicity(game: GameModel, grid_density: int) -> Certifica
             grid_worst_point=game.space.lower.copy(),
             analytic_min_eig=game.analytic_min_eig,
             lip_jac_estimate=0.0,
-            operator_norm_estimate=float(np.linalg.norm(M, 2)),
             grid_density=1,
             method="eigensolve",
         )
@@ -211,14 +209,14 @@ def certify_strong_monotonicity(game: GameModel, grid_density: int) -> Certifica
     sym = 0.5 * (jacs + np.transpose(jacs, (0, 2, 1)))
     min_eigs = np.linalg.eigvalsh(sym)[:, 0]
     worst = int(np.argmin(min_eigs))
-    op_norms = np.linalg.norm(jacs, ord=2, axis=(1, 2))
 
     # Lipschitz estimate from a deterministic sample of point pairs; exact
     # pairwise scan is quadratic in the grid size and adds nothing at n <= 10.
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
     n_pairs = min(2000, pts.shape[0] * (pts.shape[0] - 1) // 2)
-    # one draw per pair, as the sample was always drawn, so the pairs stay fixed
-    pairs = np.array([rng.integers(0, pts.shape[0], size=2) for _ in range(n_pairs)])
+    # one draw of the whole (n_pairs, 2) array yields the pairs of one draw
+    # per pair, so the sample stays as it was always drawn
+    pairs = rng.integers(0, pts.shape[0], size=(n_pairs, 2))
     gaps = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     pairs, gaps = pairs[gaps > 0], gaps[gaps > 0]
     diffs = np.linalg.norm(jacs[pairs[:, 0]] - jacs[pairs[:, 1]], ord=2, axis=(1, 2))
@@ -231,7 +229,6 @@ def certify_strong_monotonicity(game: GameModel, grid_density: int) -> Certifica
         grid_worst_point=pts[worst],
         analytic_min_eig=game.analytic_min_eig,
         lip_jac_estimate=lip,
-        operator_norm_estimate=float(np.max(op_norms)),
         grid_density=grid_density,
         method="grid",
     )

@@ -31,6 +31,7 @@ __all__ = [
     "ResponseOracle",
     "SolverError",
     "solve_response",
+    "solve_responses",
     "solve_response_linear",
     "solve_response_potential",
     "response_jacobian_fd",
@@ -82,11 +83,21 @@ class ResponseSolverConfig:
 
 @dataclass(frozen=True)
 class ResponseResult:
+    """The response to one incentive; from solve_responses, to each row of
+    a stack, with every field holding one entry per row."""
+
     x_star: np.ndarray
     residual: float          # ||g0(x*) + p||_2
     iterations: int
     converged: bool
     interior: bool           # strictly inside the box by the interior margin
+
+    def row(self, r: int) -> "ResponseResult":
+        """The one-incentive result of row ``r`` of a stacked result."""
+        return ResponseResult(x_star=self.x_star[r], residual=float(self.residual[r]),
+                              iterations=int(self.iterations[r]),
+                              converged=bool(self.converged[r]),
+                              interior=bool(self.interior[r]))
 
 
 def interior_margin(space: BoxSpace) -> float:
@@ -112,27 +123,35 @@ def _inner_step(game: GameModel, cfg: ResponseSolverConfig) -> float:
     return cfg.step_eta
 
 
-def _result(game: GameModel, x: np.ndarray, grad: np.ndarray,
-            iterations: int, converged: bool) -> ResponseResult:
-    """The result at x, given the incentivized gradient g0(x) + p there."""
+def _results(game: GameModel, X: np.ndarray, G: np.ndarray,
+             iterations: np.ndarray, converged: np.ndarray) -> ResponseResult:
+    """The stacked result at the rows of X, given the incentivized
+    gradients g0(x) + p there."""
     space = game.space
     margin = interior_margin(space)
-    interior = bool(((x >= space.lower + margin) & (x <= space.upper - margin)).all())
-    return ResponseResult(x_star=x, residual=float(np.linalg.norm(grad)),
+    interior = ((X >= space.lower + margin) & (X <= space.upper - margin)).all(axis=1)
+    return ResponseResult(x_star=X, residual=np.sqrt(rowwise_dot(G, G)),
                           iterations=iterations, converged=converged, interior=interior)
 
 
-def solve_response_linear(M: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Solution of M x = -p by a direct dense solve.
+def solve_response_linear(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Solution of M x = -p for one p of shape (n,) or for every row of an
+    (R, n) stack, by direct dense solves.
 
-    A numerically singular M signals a violated monotonicity assumption.
+    Each row gets its own LAPACK solve, with the bits of the 1-D solve; one
+    shared factorisation with R right-hand sides would make a row's bits
+    depend on its stack. A numerically singular M signals a violated
+    monotonicity assumption.
     """
     M = np.asarray(M, dtype=float)
-    p = as_vector(p, dim=M.shape[0], name="p")
+    P = np.asarray(P, dtype=float)
+    stack = np.atleast_2d(P)
     try:
-        return np.linalg.solve(M, -p)
+        X = np.linalg.solve(np.broadcast_to(M, (len(stack),) + M.shape),
+                            -stack[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"linear response system is singular: {exc}") from exc
+    return X if P.ndim == 2 else X[0]
 
 
 def _starts(game: GameModel, P: np.ndarray, X0) -> np.ndarray:
@@ -330,18 +349,38 @@ def _method(game: GameModel, cfg: ResponseSolverConfig) -> str:
     return method
 
 
-def _solve_one(solver, game: GameModel, p: np.ndarray, cfg: ResponseSolverConfig,
-               x0) -> ResponseResult:
-    """``solver`` on the one-row stack of p."""
-    X0 = None if x0 is None else as_vector(x0, dim=game.dim, name="x0")[None]
-    X, G, iterations, converged = solver(game, p[None], cfg, X0)
-    return _result(game, X[0], G[0], int(iterations[0]), bool(converged[0]))
+def _iterative_solver(method: str):
+    """The stacked solver behind an iterative method."""
+    return _projected_newton if method == "potential-minimization" else _pg_fixed_points
 
 
-def _solve_pg_fixed_point(game: GameModel, p: np.ndarray,
-                          cfg: ResponseSolverConfig,
-                          x0: Optional[np.ndarray]) -> ResponseResult:
-    return _solve_one(_pg_fixed_points, game, p, cfg, x0)
+def solve_responses(game: GameModel, P, cfg: ResponseSolverConfig = ResponseSolverConfig(),
+                    X0=None) -> ResponseResult:
+    """The equilibrium response to every row of the (R, n) stack P.
+
+    ``X0`` holds one warm start per row for the iterative methods; None
+    starts every row from the box center. On a linear game each row gets
+    its own direct solve, and a row whose root leaves the box goes to the
+    projected fixed-point iteration from its own warm start. No operation
+    mixes rows, so each row's result has the bits of its one-row solve.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != game.dim or not len(P):
+        raise ValueError(f"P must have shape (R, {game.dim}) with R >= 1, got {P.shape}")
+    method = _method(game, cfg)
+    if method != "closed-form-linear":
+        return _results(game, *_iterative_solver(method)(game, P, cfg, X0))
+    X = solve_response_linear(game.linear_matrix, P)
+    G = game.g0(X) + P
+    iterations = np.ones(len(P), dtype=int)
+    converged = np.ones(len(P), dtype=bool)
+    # A root outside the box puts the equilibrium on the boundary, found by
+    # the generic projected fixed-point iteration.
+    out = np.flatnonzero(~((X >= game.space.lower) & (X <= game.space.upper)).all(axis=1))
+    if len(out):
+        X[out], G[out], iterations[out], converged[out] = _pg_fixed_points(
+            game, P[out], cfg, None if X0 is None else np.asarray(X0, dtype=float)[out])
+    return _results(game, X, G, iterations, converged)
 
 
 def solve_response_potential(game: GameModel, p: np.ndarray,
@@ -352,16 +391,15 @@ def solve_response_potential(game: GameModel, p: np.ndarray,
     Requires a symmetric-Jacobian game with a registered potential. Active
     box constraints are pinned, the Newton system is solved on the free
     coordinates, and an Armijo backtracking line search on the projected
-    path guarantees monotone decrease of the potential. This is the
-    one-row case of the stacked solver the response oracle uses.
+    path guarantees monotone decrease of the potential. This is
+    solve_response with the potential-minimization method.
     """
-    p = as_vector(p, dim=game.dim, name="p")
-    return _solve_one(_projected_newton, game, p, cfg, x0)
+    return solve_response(game, p, replace(cfg, method="potential-minimization"), x0)
 
 
 def solve_response(game: GameModel, p, cfg: ResponseSolverConfig = ResponseSolverConfig(),
                    x0: Optional[np.ndarray] = None) -> ResponseResult:
-    """Compute the equilibrium response x*(p).
+    """Compute the equilibrium response x*(p): solve_responses on one row.
 
     ``x0`` warm-starts the iterative methods; trajectory sweeps pass the
     previous response since the incentive moves slowly. The result flags
@@ -369,17 +407,8 @@ def solve_response(game: GameModel, p, cfg: ResponseSolverConfig = ResponseSolve
     test for the incentive domain).
     """
     p = as_vector(p, dim=game.dim, name="p")
-    method = _method(game, cfg)
-    if method == "closed-form-linear":
-        x = solve_response_linear(game.linear_matrix, p)
-        if game.space.contains(x, margin=0.0):
-            return _result(game, x, game.g0(x) + p, iterations=1, converged=True)
-        # Interior root lies outside the box: the equilibrium sits on the
-        # boundary, found by the generic projected fixed-point iteration.
-        return _solve_pg_fixed_point(game, p, cfg, x0)
-    if method == "potential-minimization":
-        return solve_response_potential(game, p, cfg, x0)
-    return _solve_pg_fixed_point(game, p, cfg, x0)
+    X0 = None if x0 is None else as_vector(x0, dim=game.dim, name="x0")[None]
+    return solve_responses(game, p[None], cfg, X0).row(0)
 
 
 class ResponseOracle:
@@ -426,8 +455,7 @@ class ResponseOracle:
             x = -(self._minv @ p) if p.ndim == 1 else -rowwise_matvec(self._minv, p)
             return x, ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
         # a game without a linear_matrix resolves to an iterative method
-        solve = (_projected_newton if _method(self.game, self.cfg) == "potential-minimization"
-                 else _pg_fixed_points)
+        solve = _iterative_solver(_method(self.game, self.cfg))
         x, _, _, converged = solve(self.game, np.atleast_2d(p), self.cfg,
                                    None if warm is None else np.atleast_2d(warm))
         if not converged.all():
@@ -441,33 +469,42 @@ class ResponseOracle:
 
 def response_jacobian_fd(game: GameModel, p, h: float = 1e-5,
                          cfg: Optional[ResponseSolverConfig] = None) -> np.ndarray:
-    """Central finite-difference Jacobian of the response map p -> x*(p).
+    """Central finite-difference Jacobian of the response map p -> x*(p),
+    at one incentive of shape (n,) or at each row of an (R, n) stack.
 
-    Matches -(DG0(x*(p)))^{-1} to O(h^2) plus solver tolerance. Every probe
-    must keep the response interior; a probe that leaves the admissible set
-    raises with the offending direction identified.
+    Matches -(DG0(x*(p)))^{-1} to O(h^2) plus solver tolerance. The bases
+    are one stacked solve, and the 2nR probes p +- h*e_i are another, each
+    warm-started at its row's base. Every base and probe must keep the
+    response interior; the first that does not, in the order row, then i,
+    then + before -, raises with the offending direction identified.
     """
-    p = as_vector(p, dim=game.dim, name="p")
+    single = np.ndim(p) == 1
+    P = as_vector(p, dim=game.dim, name="p")[None] if single else np.asarray(p, dtype=float)
     if h <= 0:
         raise ValueError("h must be positive")
     if cfg is None:
         cfg = ResponseSolverConfig(tol=1e-12)
     else:
         cfg = replace(cfg, tol=min(cfg.tol, 1e-12))
-    base = solve_response(game, p, cfg)
-    if not base.interior:
+    R, n = len(P), game.dim
+    base = solve_responses(game, P, cfg)
+    # the rows before the first non-interior base; later probes are not needed
+    live = R if base.interior.all() else int(np.argmin(base.interior))
+    if live:
+        steps = h * np.eye(n)
+        probes = np.stack([P[:live, None] + steps, P[:live, None] - steps], axis=2)
+        res = solve_responses(game, probes.reshape(-1, n), cfg,
+                              X0=np.repeat(base.x_star[:live], 2 * n, axis=0))
+        ok = (res.converged & res.interior).reshape(live, 2 * n)
+        if not ok.all():
+            i, minus = divmod(int(np.argmin(ok[np.argmin(ok.all(axis=1))])), 2)
+            raise SolverError(
+                f"finite-difference probe p {'+-'[minus]} h*e_{i} left the "
+                "admissible incentive set"
+            )
+    if live < R:
         raise SolverError("response at p is not interior; Jacobian undefined")
-    cols = []
-    for i in range(game.dim):
-        e = np.zeros(game.dim)
-        e[i] = h
-        plus = solve_response(game, p + e, cfg, x0=base.x_star)
-        minus = solve_response(game, p - e, cfg, x0=base.x_star)
-        for probe, tag in ((plus, "+"), (minus, "-")):
-            if not (probe.converged and probe.interior):
-                raise SolverError(
-                    f"finite-difference probe p {tag} h*e_{i} left the "
-                    "admissible incentive set"
-                )
-        cols.append((plus.x_star - minus.x_star) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    X = res.x_star.reshape(R, n, 2, n)
+    # row r, column i: (x*(p_r + h e_i) - x*(p_r - h e_i)) / (2h)
+    J = np.swapaxes((X[:, :, 0] - X[:, :, 1]) / (2.0 * h), 1, 2)
+    return J[0] if single else J

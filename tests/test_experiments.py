@@ -664,6 +664,12 @@ _QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
     ("ttsa", {"output_dir": 5}),
     ("flow", {"c_fraction": "x"}),
     ("verify", {"seed": -1}),
+    ("flow", {"flow": {"stop_tol": "x"}}),
+    ("flow", {"flow": {"dt": "x"}}),
+    ("flow", {"flow": {"horizon_T": True}}),
+    ("flow", {"flow": {"stop_tol": -1.0}}),
+    ("ttsa", {"x_dagger": "ab"}),
+    ("flow", {"x_dagger": [0.1, "a", 0.0, 0.0, 0.0]}),
 ])
 def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     out = tmp_path / "o"
@@ -688,6 +694,9 @@ _OSC_PIN = {"preset": "oscillator-2", "x0": [0.0, -0.5], "p0": [-3.0, -3.0]}
     ("ttsa", dict(_OSC_PIN, x0=[5.0, 0.0]), "x0"),
     ("ttsa", dict(_OSC_PIN, x0=[0.0, "a"]), "x0"),
     ("flow", dict(_OSC_PIN, x0=[0, 0], p0=[50, 50]), "p0"),
+    # a valid pin with the two runs of _QUICK: they would be identical
+    ("ttsa", _OSC_PIN, "num_initial_conditions"),
+    ("flow", _OSC_PIN, "num_initial_conditions"),
 ])
 def test_cli_bad_pinned_start_exits_2(tmp_path, capsys, command, bad, key):
     out = tmp_path / "o"
@@ -697,6 +706,26 @@ def test_cli_bad_pinned_start_exits_2(tmp_path, capsys, command, bad, key):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert key in captured.err
+
+
+def test_cli_sweep_runs_a_pinned_start_once_whatever_the_run_count(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "c.json", {**_QUICK, **_OSC_PIN, "gammas": [0.3],
+                                           "num_initial_conditions": 3,
+                                           "output_dir": str(tmp_path / "o")})
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["failed"] == 0 and len(summary["rows"]) == 1
+
+
+def test_verify_names_a_bad_x_dagger(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "c.json", {"game": {"kind": "oscillator"}, "x_dagger": "ab",
+                                           "output_dir": str(tmp_path / "o")})
+    assert cli.main(["verify", "--config", cfg]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+    construction, = report["report"]
+    assert not construction["passed"] and "x_dagger" in construction["note"]
 
 
 def test_cli_sweep_rejects_bad_schedule_when_every_gamma_is_skipped(tmp_path, capsys):

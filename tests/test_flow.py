@@ -120,7 +120,7 @@ def test_membership_rejects_out_of_box_root_without_solving(agg_geom99, monkeypa
     def forbidden(*args, **kwargs):
         raise AssertionError("projected fixed point called")
 
-    monkeypatch.setattr(solvers, "_solve_pg_fixed_point", forbidden)
+    monkeypatch.setattr(solvers, "_pg_fixed_points", forbidden)
     assert not in_sublevel_set(agg_geom99, np.full(5, 30.0))
 
 
@@ -334,3 +334,12 @@ def test_flow_batch_solves_warm_start_per_row(osc, osc_geom95, draw_admissible,
     integrate_social_gradient_flow(osc_geom95, P0, FlowConfig(dt=0.01, horizon_T=0.1))
     assert len(cold) == 3 + 3 * 4 * steps      # the starts, then 4 solves a step
     assert sum(cold) == 3                      # only the starts solve cold
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dt", "x"), ("horizon_T", True), ("stop_tol", "x"), ("stop_tol", -1.0),
+    ("horizon_T", float("inf")), ("dt", float("nan")),
+])
+def test_flow_config_names_the_bad_setting(name, value):
+    with pytest.raises(ValueError, match=name):
+        FlowConfig(**{name: value})

@@ -72,14 +72,13 @@ def test_linear_certificate_equals_grid_scan(agg, density):
         dataclasses.replace(agg.game, linear_matrix=None), grid_density=density)
     assert (exact.method, grid.method) == ("eigensolve", "grid")
     assert exact.grid_min_eig == grid.grid_min_eig
-    assert exact.operator_norm_estimate == grid.operator_norm_estimate
     assert exact.passed is grid.passed is True
     assert exact.lip_jac_estimate == 0.0 and grid.lip_jac_estimate == 0.0
     assert exact.grid_density == 1
     assert np.array_equal(exact.grid_worst_point, agg.game.space.lower)
 
 
-@pytest.mark.parametrize("density", [41, 101])
+@pytest.mark.parametrize("density", [21, 41, 101])
 def test_grid_lipschitz_estimate_matches_pairwise_loop(osc, density):
     # the pair-at-a-time reference the batched estimate must reproduce bit
     # for bit: same pairs, same norms, same maximum

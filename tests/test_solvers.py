@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from socialgrad import (
     response_jacobian_fd,
     solve_response,
 )
-from socialgrad.solvers import interior_margin, solve_response_linear
+from socialgrad.solvers import interior_margin, solve_response_linear, solve_responses
 
 
 def interior_points(game, rng, count, shrink=0.2):
@@ -325,3 +327,105 @@ def test_non_converging_row_fails_only_its_ttsa_run(osc, tmp_path):
     outcomes[0][0].write_csv(tmp_path / "batch.csv")
     solo.write_csv(tmp_path / "solo.csv")
     assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked response solves and finite differences against one-row calls
+
+
+def assert_rows_equal_one_row_calls(game, P, cfg, X0):
+    stacked = solve_responses(game, P, cfg, X0)
+    for r in range(len(P)):
+        one, row = solve_response(game, P[r], cfg, x0=X0[r]), stacked.row(r)
+        assert np.array_equal(row.x_star, one.x_star)
+        assert ((row.residual, row.iterations, row.converged, row.interior)
+                == (one.residual, one.iterations, one.converged, one.interior))
+    return stacked
+
+
+def test_stacked_linear_solve_equals_one_row_calls(agg, rng):
+    from socialgrad.solvers import _pg_fixed_points
+
+    cfg = ResponseSolverConfig()
+    P = np.array([-agg.game.g0(x) for x in interior_points(agg.game, rng, 6)])
+    P[3] = np.full(5, 30.0)          # this row's root leaves the box
+    X0 = np.array(interior_points(agg.game, rng, 6))
+    stacked = assert_rows_equal_one_row_calls(agg.game, P, cfg, X0)
+    assert not stacked.interior[3] and stacked.interior[[0, 1, 2, 4, 5]].all()
+    # inside the box each row has the bits of the 1-D dense solve; the
+    # boundary row is the fixed point from its own warm start
+    for r in (0, 1, 2, 4, 5):
+        assert np.array_equal(stacked.x_star[r],
+                              np.linalg.solve(agg.game.linear_matrix, -P[r]))
+    X, _, iterations, _ = _pg_fixed_points(agg.game, P[3:4], cfg, X0[3:4])
+    assert np.array_equal(stacked.x_star[3], X[0]) and stacked.iterations[3] == iterations[0]
+
+
+@pytest.mark.parametrize("method", ["auto", "projected-gradient-fixed-point"])
+def test_stacked_oscillator_solve_equals_one_row_calls(osc, method):
+    P, X0 = mixed_rows(osc.game, 17, seed=2)
+    X0[np.isnan(X0).any(axis=1)] = osc.game.space.center
+    stacked = assert_rows_equal_one_row_calls(
+        osc.game, P, ResponseSolverConfig(method=method), X0)
+    assert stacked.converged.all() and not stacked.interior.all()
+
+
+def serial_jacobian_fd(game, p, h=1e-5):
+    """The per-incentive, per-direction loop the stacked finite
+    differences must reproduce bit for bit, messages included."""
+    cfg = ResponseSolverConfig(tol=1e-12)
+    base = solve_response(game, p, cfg)
+    if not base.interior:
+        raise SolverError("response at p is not interior; Jacobian undefined")
+    cols = []
+    for i in range(game.dim):
+        e = np.zeros(game.dim)
+        e[i] = h
+        plus = solve_response(game, p + e, cfg, x0=base.x_star)
+        minus = solve_response(game, p - e, cfg, x0=base.x_star)
+        for probe, tag in ((plus, "+"), (minus, "-")):
+            if not (probe.converged and probe.interior):
+                raise SolverError(f"finite-difference probe p {tag} h*e_{i} left the "
+                                  "admissible incentive set")
+        cols.append((plus.x_star - minus.x_star) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("preset", ["agg", "osc"])
+def test_stacked_fd_jacobian_equals_per_incentive_calls(request, preset, rng):
+    game = request.getfixturevalue(preset).game
+    P = np.array([-game.g0(x) for x in interior_points(game, rng, 5, shrink=0.3)])
+    J = response_jacobian_fd(game, P)
+    assert J.shape == (5, game.dim, game.dim)
+    for r in range(len(P)):
+        assert np.array_equal(J[r], serial_jacobian_fd(game, P[r]))
+        assert np.array_equal(J[r], response_jacobian_fd(game, P[r]))
+
+
+def _near_face(game, fraction):
+    """An incentive whose response sits ``fraction`` interior margins above
+    the lower face of coordinate 2."""
+    x = np.zeros(game.dim)
+    x[2] = game.space.lower[2] + fraction * interior_margin(game.space)
+    return -game.g0(x)
+
+
+@pytest.mark.parametrize("fractions, first_bad, message", [
+    # the first failure in the order row, direction, + before -; a row of
+    # None is an incentive whose response is the box center
+    ([None, 1.5, 1.2], 1, "p + h*e_2"),
+    ([None, 1.2, 1.5], 1, "p - h*e_0"),
+    ([None, 0.5, 1.2], 1, "response at p is not interior"),
+    ([1.5, 0.5], 0, "p + h*e_2"),
+])
+def test_stacked_fd_jacobian_reports_the_first_failure(agg, fractions, first_bad, message):
+    P = np.array([-agg.game.g0(np.zeros(5)) if f is None else _near_face(agg.game, f)
+                  for f in fractions])
+    with pytest.raises(SolverError) as stacked:
+        response_jacobian_fd(agg.game, P)
+    assert message in str(stacked.value)
+    for p in P[:first_bad]:
+        serial_jacobian_fd(agg.game, p)
+    with pytest.raises(SolverError) as serial:
+        serial_jacobian_fd(agg.game, P[first_bad])
+    assert str(stacked.value) == str(serial.value)
