@@ -30,10 +30,11 @@ from .flow import (
     lyapunov_derivative,
     make_sublevel_geometry,
 )
-from .games import GameModel, as_vector, certify_strong_monotonicity, rowwise_dot
+from .games import (GameModel, as_vector, certify_strong_monotonicity, is_number,
+                    require_numbers, rowwise_dot)
 from .objectives import SocialObjective, quadratic_objective
 from .presets import PRESET_NAMES, build_game_from_spec, game_spec_from_dict, load_preset
-from .records import fmt17, write_csv, write_json
+from .records import write_csv, write_json
 from .solvers import (
     ResponseSolverConfig,
     SolverError,
@@ -67,14 +68,9 @@ _EXPERIMENTS = ("flow", "ttsa", "sweep", "verify")
 _INTEGER_FIELDS = ("num_initial_conditions", "max_iter", "record_every", "jobs", "seed")
 
 
-def _is_number(value, kinds=(int, float, np.integer, np.floating)) -> bool:
-    """Whether ``value`` is an instance of ``kinds`` other than a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
 def _numbers(value, name: str) -> list:
     """``value``, which must be a list of numbers."""
-    if not isinstance(value, list) or not all(map(_is_number, value)):
+    if not isinstance(value, list) or not all(map(is_number, value)):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
     return value
 
@@ -112,20 +108,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"experiment must be one of {_EXPERIMENTS}")
-        for name in _INTEGER_FIELDS:
-            if not _is_number(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        require_numbers(self, _INTEGER_FIELDS, integer=True)
         _numbers(self.gammas, "gammas")
-        if not _is_number(self.a_exp_base):
-            raise ValueError(f"a_exp_base must be a number, got {self.a_exp_base!r}")
+        require_numbers(self, ("a_exp_base",))
         if not isinstance(self.rule, dict):
             raise ValueError(f"rule must be a mapping, got {self.rule!r}")
         eta = self.rule.get("eta")
-        if eta is not None and not _is_number(eta):
+        if eta is not None and not is_number(eta):
             raise ValueError(f"rule eta must be a number, got {eta!r}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        if not _is_number(self.c_fraction) or not 0.0 < self.c_fraction < 1.0:
+        if not is_number(self.c_fraction) or not 0.0 < self.c_fraction < 1.0:
             raise ValueError(f"c_fraction must lie in (0, 1), got {self.c_fraction!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")
@@ -213,7 +206,7 @@ def _typed(cls, params, name: str, **overrides):
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     try:
         return cls(**{**params, **overrides})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid {name}: {exc}") from None
 
 
@@ -329,7 +322,11 @@ def _result(idx: int, exc: Optional[Exception] = None, **fields) -> dict:
 def _write_flow_run(run: RunSpec, cfg: FlowConfig, item, record, summary) -> dict:
     path = run.out_dir / f"flow_run_{item[0]:03d}.csv"
     record.write_csv(path)
-    return {"summary": summary, "csv": str(path), "V0": record.values[0]}
+    return {"summary": summary, "csv": str(path), "V0": float(record.column("V")[0])}
+
+
+# the columns of a TTSA record that envelope.csv summarizes across runs
+_ENVELOPE = ("k", "tracking_error", "incentive_error")
 
 
 def _write_ttsa_run(run: RunSpec, cfg: TtsaConfig, item, record, summary) -> dict:
@@ -338,9 +335,8 @@ def _write_ttsa_run(run: RunSpec, cfg: TtsaConfig, item, record, summary) -> dic
     record.write_csv(path)
     record.write_json(path.with_suffix(".json"),
                       config=dataclasses.replace(cfg, schedule=schedule).to_dict())
-    return {"summary": summary, "csv": str(path), "steps": list(record.steps),
-            "tracking": list(record.tracking_errors),
-            "incentive": list(record.incentive_errors)}
+    return {"summary": summary, "csv": str(path),
+            "envelope": np.stack([record.column(name) for name in _ENVELOPE], axis=1)}
 
 
 def _run_chunk(run: RunSpec, cfg, chunk: list) -> list:
@@ -457,12 +453,22 @@ def _prepare_batch(cfg: ExperimentConfig, settings=lambda game: None):
                                   solver_cfg=solver)
     made = settings(game)
     ics = _initial_conditions(cfg, geom)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     _echo_config(cfg, geom, out_dir)
     run = RunSpec(game=spec, x_dagger=objective.x_dagger, solver=solver,
                   c=geom.c, c_star=geom.c_star, out_dir=out_dir)
     return run, made, ics
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, made with its parents; one that cannot be made
+    is a configuration error."""
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir {cfg.output_dir!r} cannot be made: "
+                         f"{exc.strerror or exc}") from None
+    return Path(cfg.output_dir)
 
 
 def _ttsa_config(cfg: ExperimentConfig, game: GameModel, **fields) -> TtsaConfig:
@@ -504,7 +510,7 @@ def run_flow_batch(cfg: ExperimentConfig):
     if cfg.experiment != "flow":
         raise ValueError("config experiment must be 'flow'")
     fcfg = _typed(FlowConfig, cfg.flow, "flow")
-    run, _, ics = _prepare_batch(cfg)
+    run, _, ics = _prepare_batch(cfg, fcfg.steps)
     results = _run_batch(run, fcfg, [(i, p0) for i, (_, p0) in enumerate(ics)], cfg.jobs)
 
     ok, summary = _batch_summary("flow", results)
@@ -525,30 +531,24 @@ def run_flow_batch(cfg: ExperimentConfig):
     return results, summary
 
 
-def _write_envelope_csv(path: Path, steps, tracking_rows, incentive_rows):
-    """Per-step medians and min-max envelopes across a batch."""
-    tracking = np.asarray(tracking_rows)   # runs x samples
-    incentive = np.asarray(incentive_rows)
-    header = ["k", "tracking_error_median", "tracking_error_min",
-              "tracking_error_max", "incentive_error_median",
-              "incentive_error_min", "incentive_error_max"]
-    rows = []
-    for j, k in enumerate(steps):
-        rows.append([
-            str(int(k)),
-            fmt17(np.median(tracking[:, j])), fmt17(tracking[:, j].min()),
-            fmt17(tracking[:, j].max()),
-            fmt17(np.median(incentive[:, j])), fmt17(incentive[:, j].min()),
-            fmt17(incentive[:, j].max()),
-        ])
-    write_csv(path, header, rows)
+def _write_envelope_csv(path: Path, samples: np.ndarray):
+    """Per-step medians and min-max envelopes across a batch, from the
+    (runs, samples, _ENVELOPE) stack of the runs' envelope columns."""
+    errors = samples[:, :, 1:]
+    stats = np.stack([np.median(errors, axis=0), errors.min(axis=0), errors.max(axis=0)],
+                     axis=2)   # samples x error x statistic
+    header = ["k"] + [f"{error}_{stat}" for error in _ENVELOPE[1:]
+                      for stat in ("median", "min", "max")]
+    write_csv(path, header, np.column_stack([samples[0, :, 0],
+                                             stats.reshape(len(stats), -1)]))
 
 
 def run_ttsa_batch(cfg: ExperimentConfig):
     """Run the two-timescale iteration per initial condition.
 
-    Writes one trajectory CSV+JSON per run, an envelope CSV (per-step
-    median/min/max of both errors across the batch), and summary.json.
+    Writes one trajectory CSV per run with a JSON of its config and step
+    totals, an envelope CSV (per-step median/min/max of both errors across
+    the batch), and summary.json.
     """
     if cfg.experiment != "ttsa":
         raise ValueError("config experiment must be 'ttsa'")
@@ -560,10 +560,8 @@ def run_ttsa_batch(cfg: ExperimentConfig):
 
     ok, summary = _batch_summary("ttsa", results, rule=tcfg.rule.kind)
     if ok:
-        steps = ok[0]["steps"]
-        _write_envelope_csv(run.out_dir / "envelope.csv", steps,
-                            [r["tracking"] for r in ok],
-                            [r["incentive"] for r in ok])
+        _write_envelope_csv(run.out_dir / "envelope.csv",
+                            np.stack([r["envelope"] for r in ok]))
         summary.update({
             "envelope_csv": str(run.out_dir / "envelope.csv"),
             "final_tracking_median": float(np.median(
@@ -626,7 +624,7 @@ def run_timescale_sweep(cfg: ExperimentConfig):
     header = ["gamma", "b_exp", "final_tracking_error",
               "final_incentive_error", "accepted_fraction"]
     write_csv(run.out_dir / "sweep.csv", header,
-              [[fmt17(r[h]) for h in header] for r in rows if "error" not in r])
+              [[r[h] for h in header] for r in rows if "error" not in r])
 
     summary = {
         "experiment": "sweep",
@@ -668,8 +666,7 @@ def run_verify(cfg: ExperimentConfig):
         raise ValueError("config experiment must be 'verify'")
     scfg = _typed(ResponseSolverConfig, cfg.solver, "solver")
     sched = _typed(StepSchedule, cfg.schedule, "schedule")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
     report = []
 
     try:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import GameModel, as_vector, rowwise_dot
+from .games import GameModel, as_vector, require_numbers, rowwise_dot
 from .objectives import SocialObjective
 from .records import FlowRecord
 from .solvers import (
@@ -191,24 +191,27 @@ class FlowConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "explicit-euler"):
             raise ValueError("method must be 'rk4' or 'explicit-euler'")
-        for name in ("dt", "horizon_T", "stop_tol"):
-            value = getattr(self, name)
-            if name == "dt" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_numbers(self, ("horizon_T", "stop_tol") if self.dt is None
+                        else ("dt", "horizon_T", "stop_tol"))
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be positive")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be at least 0")
-        every = self.record_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
-            raise ValueError(f"record_every must be an integer, got {every!r}")
-        if every < 1:
+        require_numbers(self, ("record_every",), integer=True)
+        if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+
+    def steps(self, game: GameModel):
+        """(dt, number of steps) of the flow on ``game``. A horizon_T / dt
+        too large for a float is ValueError."""
+        dt = self.dt if self.dt is not None else 0.005 * game.monotonicity_m
+        ratio = self.horizon_T / dt
+        if not np.isfinite(ratio):
+            raise ValueError(f"horizon_T / dt = {self.horizon_T!r} / {dt!r} overflows "
+                             "the step count")
+        return dt, max(1, int(round(ratio)))
 
 
 class RunBatch:
@@ -299,14 +302,16 @@ class RunBatch:
 
 
 def _finish(record: FlowRecord, geom: SublevelGeometry, dt: float, stopped_early: bool):
-    if record.values and record.values[-1] > geom.c_star:
+    t, V, grad_norm, dist = (float(record.column(name)[-1])
+                             for name in ("t", "V", "grad_norm", "dist_to_pdagger"))
+    if V > geom.c_star:
         warnings.warn("final value exceeds c*; trajectory left the certified region")
     return record, {
-        "t_final": record.times[-1],
-        "V_final": record.values[-1],
-        "grad_norm_final": record.grad_norms[-1],
-        "dist_to_pdagger_final": record.dists_to_target[-1],
-        "steps": int(record.times[-1] / dt + 0.5),
+        "t_final": t,
+        "V_final": V,
+        "grad_norm_final": grad_norm,
+        "dist_to_pdagger_final": dist,
+        "steps": int(t / dt + 0.5),
         "dt": dt,
         "stopped_early": stopped_early,
     }
@@ -331,18 +336,19 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
     """
     game, objective = geom.game, geom.objective
     batch = RunBatch(geom, lambda: FlowRecord(dim=game.dim), p0)
-    dt = cfg.dt if cfg.dt is not None else 0.005 * game.monotonicity_m
-    n_steps = max(1, int(round(cfg.horizon_T / dt)))
+    dt, n_steps = cfg.steps(game)
     grad_phi, respond = objective.grad_phi, geom.oracle.response
     warm, P = batch.start()
     G = grad_phi(warm)   # the field at P: each step's first stage
 
-    def sample(t, rows, P, X):
-        for row in rows:
-            x, p = X[row], P[row]
-            batch.records[row].append(
-                t, p, x, objective.gap(x), np.linalg.norm(grad_phi(x)),
-                np.linalg.norm(p - geom.p_dagger))
+    def sample(t, rows, P, X, grad_norms):
+        """Append the samples of the stack rows ``rows`` to their records."""
+        P, X = P[rows], X[rows]
+        D = P - geom.p_dagger
+        block = np.column_stack([np.full(len(P), t), P, X, objective.gap(X),
+                                 grad_norms[rows], np.sqrt(rowwise_dot(D, D))])
+        for row, values in zip(rows, block):
+            batch.records[row].append(values)
 
     def solve(P_at, message, P, *stacks):
         """grad Phi(x*(P_at)), x*(P_at), P and ``stacks`` for the rows whose
@@ -357,7 +363,7 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
         return (grad_phi(warm), warm, P, *stacks)
 
     boundary = "integration step produced a boundary response"
-    sample(0.0, range(len(P)), P, warm)
+    sample(0.0, np.arange(len(P)), P, warm, np.sqrt(rowwise_dot(G, G)))
     for k in range(1, n_steps + 1):
         if not len(P):
             break
@@ -373,10 +379,12 @@ def integrate_social_gradient_flow(geom: SublevelGeometry, p0,
             P_next = P + dt * G
         G, X, _, P_next = solve(P_next, "flow left the admissible set at t={t:.6g}",
                                 P, P_next)
-        stop = np.sqrt(rowwise_dot(G, G)) <= cfg.stop_tol
-        recorded = (range(len(P_next)) if k % cfg.record_every == 0 or k == n_steps
+        grad_norms = np.sqrt(rowwise_dot(G, G))
+        stop = grad_norms <= cfg.stop_tol
+        recorded = (np.arange(len(P_next)) if k % cfg.record_every == 0 or k == n_steps
                     else np.flatnonzero(stop))
-        sample(t, recorded, P_next, X)
+        if len(recorded):
+            sample(t, recorded, P_next, X, grad_norms)
         P, warm, G = batch.leave(
             {row: _finish(batch.records[row], geom, dt, True) for row in np.flatnonzero(stop)},
             P_next, X, G)

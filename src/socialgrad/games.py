@@ -21,11 +21,30 @@ __all__ = [
     "GameModel",
     "CertificateReport",
     "as_vector",
+    "is_number",
+    "require_numbers",
     "rowwise_matvec",
     "rowwise_dot",
     "certify_strong_monotonicity",
     "symmetry_check",
 ]
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether ``value`` is a real number, or an integer if ``integer``; a
+    bool is neither."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def require_numbers(obj, names, integer: bool = False) -> None:
+    """Raise ValueError naming the first attribute of ``obj`` in ``names``
+    that is not a finite number, or not an integer if ``integer``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_number(value, integer) or not (integer or np.isfinite(value)):
+            kind = "an integer" if integer else "a finite number"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def as_vector(v, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import BoxSpace, GameModel, rowwise_matvec, symmetry_check
+from .games import BoxSpace, GameModel, is_number, rowwise_matvec, symmetry_check
 from .objectives import SocialObjective, quadratic_objective
 
 __all__ = [
@@ -371,7 +371,7 @@ def _spec_from_checked_dict(kind: str, d: dict):
             )
         counts = {"n": d.get("n", 5), "seed": d.get("seed", INSTANCE_SEED)}
         for (name, value), least in zip(counts.items(), (2, 0)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            if not is_number(value, integer=True) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         spec = default_aggregative_spec(**counts)
         if box is not None:

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .games import BoxSpace, GameModel, as_vector, rowwise_dot, rowwise_matvec
+from .games import (BoxSpace, GameModel, as_vector, require_numbers, rowwise_dot,
+                    rowwise_matvec)
 
 __all__ = [
     "ResponseSolverConfig",
@@ -73,6 +74,8 @@ class ResponseSolverConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; use one of {_METHODS}")
+        require_numbers(self, ("tol",) if self.step_eta is None else ("tol", "step_eta"))
+        require_numbers(self, ("max_iter",), integer=True)
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:

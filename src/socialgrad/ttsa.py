@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .flow import RunBatch, SublevelGeometry
-from .games import GameModel, as_vector, rowwise_matvec
+from .games import GameModel, as_vector, require_numbers, rowwise_dot, rowwise_matvec
 from .records import TtsaRecord
 from .solvers import ResponseSolverConfig, solve_response
 
@@ -65,12 +65,14 @@ class StepSchedule:
     offset: int = 1
 
     def __post_init__(self):
+        require_numbers(self, ("a0", "a_exp", "b0", "b_exp"))
+        require_numbers(self, ("offset",), integer=True)
         if self.a0 <= 0 or self.b0 <= 0:
             raise ValueError("a0 and b0 must be positive")
         for name, e in (("a_exp", self.a_exp), ("b_exp", self.b_exp)):
             if not 0.5 < e <= 1.0:
                 raise ValueError(f"{name}={e} must lie in (1/2, 1]")
-        if self.offset < 1 or int(self.offset) != self.offset:
+        if self.offset < 1:
             raise ValueError("offset must be a positive integer")
         if self.a0 > self.offset ** self.a_exp:
             raise ValueError(
@@ -318,16 +320,14 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
     grad_phi = objective.grad_phi
 
     def sample(k, accepted):
-        for row, record in enumerate(batch.records):
-            x, p, xstar = X[row], P[row], Xstar[row]
-            record.append(
-                k, x, p,
-                tracking=np.linalg.norm(x - xstar),
-                incentive=np.linalg.norm(p - geom.p_dagger),
-                V=objective.gap(xstar),
-                accepted=accepted[row],
-                xi_norm=np.linalg.norm(grad_phi(x) - grad_phi(xstar)),
-            )
+        D, E = X - Xstar, P - geom.p_dagger
+        Xi = grad_phi(X) - grad_phi(Xstar)
+        block = np.column_stack([
+            np.full(len(X), k), X, P, np.sqrt(rowwise_dot(D, D)),
+            np.sqrt(rowwise_dot(E, E)), objective.gap(Xstar), accepted,
+            np.sqrt(rowwise_dot(Xi, Xi))])
+        for record, row in zip(batch.records, block):
+            record.append(row)
 
     sample(0, np.ones(len(batch.runs), dtype=bool))
     g = group[batch.runs]
@@ -364,9 +364,9 @@ def run_ttsa(x0, p0, cfg: TtsaConfig, geom: SublevelGeometry, schedules=None):
         masses = np.cumsum(b_tab[record.step_accepts, group[run], 0])
         record.accepted_mass = float(masses[-1]) if len(masses) else 0.0
         return record, {
-            "final_tracking_error": record.tracking_errors[-1],
-            "final_incentive_error": record.incentive_errors[-1],
-            "final_V": record.values[-1],
+            "final_tracking_error": float(record.column("tracking_error")[-1]),
+            "final_incentive_error": float(record.column("incentive_error")[-1]),
+            "final_V": float(record.column("V")[-1]),
             "accepted_fraction_last_10pct": record.acceptance_fraction(tail_start),
             "accepted_fraction_full": record.acceptance_fraction(0),
             "accepted_mass": record.accepted_mass,

@@ -72,12 +72,12 @@ def test_criterion_02_flow_matches_matrix_exponential(agg, agg_geom80):
     # p(t) = p_dagger + expm(-M^{-1} t)(p0 - p_dagger)
     A = -np.linalg.inv(agg.game.linear_matrix)
     worst = 0.0
-    for t, p in zip(record.times, record.incentives):
+    for t, p in zip(record.column("t"), record.column("p")):
         p_true = geom.p_dagger + scipy.linalg.expm(A * t) @ (p0 - geom.p_dagger)
         worst = max(worst, float(np.linalg.norm(p - p_true)))
     assert worst <= 1e-6
     print(f"criterion 2: max |rk4 - matrix exponential| = {worst:.3e} <= 1e-6 "
-          f"over T=10 at dt=1e-3 ({len(record.times)} samples)")
+          f"over T=10 at dt=1e-3 ({len(record)} samples)")
 
 
 def test_criterion_03_descent_direction(agg, osc, agg_geom99, osc_geom95,
@@ -197,13 +197,13 @@ def test_criterion_06_oscillator_pg_run(osc, osc_geom95):
                                cfg, osc_geom95)
     # the gate never admits an inadmissible incentive; audit the samples
     # against the membership oracle anyway
-    for p in record.incentives:
+    for p in record.column("p"):
         assert in_sublevel_set(osc_geom95, p)
     tail_fraction = record.acceptance_fraction(10_000)
     assert tail_fraction == 1.0
     final = summary["final_incentive_error"]
     assert final <= 1e-2
-    print(f"criterion 6: all {len(record.incentives)} sampled iterates "
+    print(f"criterion 6: all {len(record)} sampled iterates "
           f"admissible, acceptance over final 90% = {tail_fraction:.4f}, "
           f"final ||p - p_dagger|| = {final:.3e} <= 1e-2")
 

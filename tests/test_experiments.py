@@ -670,6 +670,12 @@ _QUICK = {"num_initial_conditions": 2, "max_iter": 50, "record_every": 10}
     ("flow", {"flow": {"stop_tol": -1.0}}),
     ("ttsa", {"x_dagger": "ab"}),
     ("flow", {"x_dagger": [0.1, "a", 0.0, 0.0, 0.0]}),
+    ("ttsa", {"solver": {"max_iter": 1.5}}),
+    ("verify", {"solver": {"max_iter": 1.5}}),
+    ("flow", {"solver": {"max_iter": 1.5}}),
+    ("ttsa", {"solver": {"tol": "x"}}),
+    ("ttsa", {"schedule": {"offset": True}}),
+    ("flow", {"flow": {"dt": 1e-300, "horizon_T": 1e300}}),
 ])
 def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     out = tmp_path / "o"
@@ -682,6 +688,18 @@ def test_cli_invalid_settings_exit_2(tmp_path, capsys, command, bad):
     (key, value), = bad.items()
     assert any(name in captured.err
                for name in [key, *(value if isinstance(value, dict) else [])])
+
+
+@pytest.mark.parametrize("command", ["flow", "ttsa", "sweep", "verify"])
+def test_cli_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write_cfg(tmp_path / "c.json", {**_QUICK, "output_dir": str(blocker / "o")})
+    assert cli.main([command, "--config", cfg]) == 2
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json", blocker]
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.count("error:") == 1 and "output_dir" in captured.err
 
 
 _OSC_PIN = {"preset": "oscillator-2", "x0": [0.0, -0.5], "p0": [-3.0, -3.0]}

@@ -140,15 +140,31 @@ def test_lyapunov_derivative_needs_interior(agg):
         lyapunov_derivative(agg.game, agg.objective, np.full(5, 30.0))
 
 
+def test_flow_samples_equal_the_one_row_values(agg, agg_geom99, draw_admissible):
+    # sampling computes each column for every row at once; each value keeps
+    # the bits of the one-row computation
+    pairs = draw_admissible(agg.game, agg.objective, agg_geom99, 3, seed=2)
+    outcomes = integrate_social_gradient_flow(
+        agg_geom99, np.array([p for _, p in pairs]), FlowConfig(horizon_T=0.5, record_every=5))
+    objective = agg.objective
+    for rec, _ in outcomes:
+        for p, x, V, grad_norm, dist in zip(rec.column("p"), rec.column("xstar"),
+                                            *map(rec.column, ("V", "grad_norm",
+                                                              "dist_to_pdagger"))):
+            assert V == objective.gap(x)
+            assert grad_norm == np.linalg.norm(objective.grad_phi(x))
+            assert dist == np.linalg.norm(p - agg_geom99.p_dagger)
+
+
 def test_flow_descent_both_presets(agg, agg_geom99, osc, osc_geom95,
                                    draw_admissible):
     for bundle, geom in ((agg, agg_geom99), (osc, osc_geom95)):
         _, p0 = draw_admissible(bundle.game, bundle.objective, geom, 1)[0]
         rec, summary = integrate_social_gradient_flow(
             geom, p0, FlowConfig(horizon_T=2.0, record_every=20))
-        diffs = np.diff(np.asarray(rec.values))
+        diffs = np.diff(rec.column("V"))
         assert np.all(diffs <= 1e-9)
-        assert summary["V_final"] < rec.values[0]
+        assert summary["V_final"] < rec.column("V")[0]
 
 
 def test_flow_matches_matrix_exponential(agg):
@@ -162,7 +178,7 @@ def test_flow_matches_matrix_exponential(agg):
         geom, p0, FlowConfig(dt=1e-3, horizon_T=2.0, record_every=200,
                              stop_tol=0.0))
     worst = 0.0
-    for t, p in zip(rec.times, rec.incentives):
+    for t, p in zip(rec.column("t"), rec.column("p")):
         exact = geom.p_dagger + scipy.linalg.expm(-A * t) @ (p0 - geom.p_dagger)
         worst = max(worst, float(np.linalg.norm(p - exact)))
     assert worst <= 1e-7
@@ -195,7 +211,7 @@ def test_euler_matches_rk4_loosely(osc, osc_geom95):
                         record_every=500)
     rec_rk, _ = integrate_social_gradient_flow(osc_geom95, p0, cfg_rk)
     rec_eu, _ = integrate_social_gradient_flow(osc_geom95, p0, cfg_eu)
-    assert np.linalg.norm(rec_rk.incentives[-1] - rec_eu.incentives[-1]) <= 1e-3
+    assert np.linalg.norm(rec_rk.column("p")[-1] - rec_eu.column("p")[-1]) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +232,7 @@ def test_boundary_response_fails_only_its_flow_run(agg, agg_geom99, draw_admissi
     # run 1's incentive after step 25 is reported as a boundary response
     steps, _ = integrate_social_gradient_flow(
         agg_geom99, P0[1], FlowConfig(horizon_T=0.5, record_every=1))
-    doomed = steps.incentives[25]
+    doomed = steps.column("p")[25]
     original = agg_geom99.oracle.response
 
     def response(p, warm=None):
@@ -229,8 +245,8 @@ def test_boundary_response_fails_only_its_flow_run(agg, agg_geom99, draw_admissi
     assert isinstance(outcomes[1], FlowDomainError)
     assert str(outcomes[1]).startswith("flow left the admissible set")
     # the last valid state: the start of the step that left
-    assert outcomes[1].t_last == steps.times[24]
-    assert np.array_equal(outcomes[1].p_last, steps.incentives[24])
+    assert outcomes[1].t_last == steps.column("t")[24]
+    assert np.array_equal(outcomes[1].p_last, steps.column("p")[24])
     for i in (0, 2):
         assert _csv(outcomes[i][0], tmp_path / "b.csv") == _csv(solo[i], tmp_path / "s.csv")
 
@@ -263,8 +279,8 @@ def _k2_stage(geom, p0, cfg, s):
     steps, _ = integrate_social_gradient_flow(
         geom, p0, FlowConfig(dt=cfg.dt, horizon_T=cfg.horizon_T, record_every=1))
     dt = cfg.dt if cfg.dt is not None else 0.005 * geom.game.monotonicity_m
-    p, x = steps.incentives[s], steps.responses[s]
-    return steps.times[s], p, p + 0.5 * dt * geom.objective.grad_phi(x)
+    p, x = steps.column("p")[s], steps.column("xstar")[s]
+    return steps.column("t")[s], p, p + 0.5 * dt * geom.objective.grad_phi(x)
 
 
 def test_boundary_response_at_a_stage_fails_only_its_flow_run(agg, agg_geom99,

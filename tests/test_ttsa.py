@@ -162,10 +162,10 @@ def test_null_step_at_optimum(agg, agg_geom80):
     for kind in ("NE", "BR"):
         cfg = make_cfg(agg.game, kind, max_iter=1)
         rec, _ = run_ttsa(x_dag, p_dag, cfg, agg_geom80)
-        assert rec.steps == [0, 1]
+        assert rec.column("k").tolist() == [0, 1]
         assert rec.step_accepts[0]
-        assert np.linalg.norm(rec.strategies[-1] - x_dag) <= 1e-12
-        assert np.array_equal(rec.incentives[-1], p_dag)
+        assert np.linalg.norm(rec.column("x")[-1] - x_dag) <= 1e-12
+        assert np.array_equal(rec.column("p")[-1], p_dag)
 
 
 def test_step_containment(agg, agg_geom80, rng):
@@ -173,7 +173,7 @@ def test_step_containment(agg, agg_geom80, rng):
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, 5)
         rec, _ = run_ttsa(x, agg_geom80.p_dagger, cfg, agg_geom80)
-        assert agg.game.space.contains(rec.strategies[-1])
+        assert agg.game.space.contains(rec.column("x")[-1])
 
 
 def test_run_rejects_bad_level(agg, agg_geom80):
@@ -186,16 +186,19 @@ def test_run_record_layout(agg, agg_geom80, draw_admissible):
     x0, p0 = draw_admissible(agg.game, agg.objective, agg_geom80, 1)[0]
     cfg = make_cfg(agg.game, max_iter=1000, record_every=100)
     rec, summary = run_ttsa(x0, p0, cfg, agg_geom80)
-    assert rec.steps == [0] + list(range(100, 1001, 100))
-    assert rec.accepted_flags[0] is True or rec.accepted_flags[0] == True  # noqa: E712
+    assert rec.column("k").tolist() == [0] + list(range(100, 1001, 100))
+    assert rec.column("indicator_accepted")[0] == 1
     assert len(rec.step_accepts) == 1000
     assert summary["iterations"] == 1000
     # accepted_mass recomputed from the full indicator array
     sched = cfg.schedule
     mass = sum(sched.b(k) for k in range(1000) if rec.step_accepts[k])
     assert summary["accepted_mass"] == pytest.approx(mass, rel=1e-12)
+    # each sampled incentive error keeps the bits of the one-row norm
+    assert all(error == np.linalg.norm(p - agg_geom80.p_dagger)
+               for p, error in zip(rec.column("p"), rec.column("incentive_error")))
     # xi_norm for the quadratic objective equals the tracking error
-    assert np.allclose(rec.xi_norms, rec.tracking_errors, rtol=0.0, atol=1e-12)
+    assert np.allclose(rec.column("xi_norm"), rec.column("tracking_error"), rtol=0.0, atol=1e-12)
 
 
 def test_fast_tracking_dominates(agg, agg_geom80, draw_admissible):
@@ -204,8 +207,8 @@ def test_fast_tracking_dominates(agg, agg_geom80, draw_admissible):
     x0, p0 = draw_admissible(agg.game, agg.objective, agg_geom80, 1, seed=3)[0]
     cfg = make_cfg(agg.game, max_iter=10_000, record_every=100)
     rec, _ = run_ttsa(x0, p0, cfg, agg_geom80)
-    idx_early = rec.steps.index(1000)
-    assert rec.tracking_errors[-1] < rec.tracking_errors[idx_early]
+    idx_early = rec.column("k").tolist().index(1000)
+    assert rec.column("tracking_error")[-1] < rec.column("tracking_error")[idx_early]
 
 
 def test_gate_freezes_incentive_when_level_tight(agg, agg_geom80):
@@ -221,7 +224,7 @@ def test_gate_freezes_incentive_when_level_tight(agg, agg_geom80):
     x0 = agg.objective.x_dagger + 1.0
     rec, summary = run_ttsa(x0, p0, cfg, tight)
     assert summary["accepted_fraction_full"] < 1.0
-    assert np.all(np.asarray(rec.values) <= 4e-6 + 1e-15)
+    assert np.all(rec.column("V") <= 4e-6 + 1e-15)
 
 
 def test_run_input_validation(agg, agg_geom80):
@@ -237,9 +240,7 @@ def test_run_is_deterministic(agg, agg_geom80, draw_admissible):
     cfg = make_cfg(agg.game, max_iter=500, record_every=50)
     rec1, _ = run_ttsa(x0, p0, cfg, agg_geom80)
     rec2, _ = run_ttsa(x0, p0, cfg, agg_geom80)
-    assert np.array_equal(np.asarray(rec1.incentives), np.asarray(rec2.incentives))
-    assert np.array_equal(np.asarray(rec1.strategies), np.asarray(rec2.strategies))
-    assert rec1.tracking_errors == rec2.tracking_errors
+    assert np.array_equal(rec1.samples, rec2.samples)
 
 
 def test_config_to_dict_roundtrip(agg):
@@ -295,8 +296,8 @@ def test_batch_engine_matches_reference_aggregative(agg, agg_geom80, draw_admiss
     outcomes = run_ttsa(X0, P0, cfg, agg_geom80)
     for (x0, p0), (rec, _) in zip(pairs, outcomes):
         x, p = reference_run(x0, p0, cfg.rule, cfg.schedule, agg_geom80, 400)
-        assert np.max(np.abs(rec.strategies[-1] - x)) <= 1e-12
-        assert np.max(np.abs(rec.incentives[-1] - p)) <= 1e-12
+        assert np.max(np.abs(rec.column("x")[-1] - x)) <= 1e-12
+        assert np.max(np.abs(rec.column("p")[-1] - p)) <= 1e-12
 
 
 def test_batch_engine_matches_reference_oscillator_pg(osc, osc_geom95):
@@ -309,8 +310,8 @@ def test_batch_engine_matches_reference_oscillator_pg(osc, osc_geom95):
                         cfg, osc_geom95, schedules=schedules)
     for (x0, p0), schedule, (rec, _) in zip(starts, schedules, outcomes):
         x, p = reference_run(x0, p0, cfg.rule, schedule, osc_geom95, 300)
-        assert np.max(np.abs(rec.strategies[-1] - x)) <= 1e-12
-        assert np.max(np.abs(rec.incentives[-1] - p)) <= 1e-12
+        assert np.max(np.abs(rec.column("x")[-1] - x)) <= 1e-12
+        assert np.max(np.abs(rec.column("p")[-1] - p)) <= 1e-12
 
 
 def _csv_bytes(record, path):
@@ -344,9 +345,9 @@ def test_solver_failure_mid_run_fails_only_its_run(osc, osc_geom95, monkeypatch,
     cfg = make_cfg(osc.game, "PG", eta=0.15, max_iter=100, record_every=10)
     solo = [run_ttsa(x, p, cfg, osc_geom95)[0] for x, p in starts]
     # the incentive run 0 proposes at step 50, rebuilt from its solo record
-    j = solo[0].steps.index(50)
-    doomed = (solo[0].incentives[j]
-              + cfg.schedule.b(50) * osc.objective.grad_phi(solo[0].strategies[j]))
+    j = solo[0].column("k").tolist().index(50)
+    doomed = (solo[0].column("p")[j]
+              + cfg.schedule.b(50) * osc.objective.grad_phi(solo[0].column("x")[j]))
     original = solvers._projected_newton
 
     def failing(game, P, *args, **kwargs):
